@@ -20,7 +20,8 @@ use std::collections::BTreeMap;
 
 use moe_gpusim::perfmodel::{PerfModel, Phase};
 use moe_runtime::request::{Request, RequestId};
-use moe_runtime::scheduler::{Scheduler, SchedulerConfig, StepPlan};
+use moe_runtime::scheduler::{FinishedSeq, Scheduler, SchedulerConfig, StepPlan};
+use moe_runtime::slots::SlotTable;
 
 use crate::router::ReplicaLoad;
 use crate::workload::ClusterRequest;
@@ -111,7 +112,7 @@ pub(crate) struct Replica {
     lru_clock: u64,
     prefix_capacity: usize,
     /// Scheduler-local id -> cluster request bookkeeping.
-    active: BTreeMap<RequestId, ActiveRequest>,
+    active: SlotTable<ActiveRequest>,
     /// Generation of the most recently started step (see [`InFlight::gen`]).
     step_gen: u64,
     pub prefix_hits: u64,
@@ -132,7 +133,7 @@ impl Replica {
             prefix_lru: BTreeMap::new(),
             lru_clock: 0,
             prefix_capacity,
-            active: BTreeMap::new(),
+            active: SlotTable::new(),
             step_gen: 0,
             prefix_hits: 0,
             prefix_misses: 0,
@@ -226,7 +227,7 @@ impl Replica {
 
     /// Cancel a request (router timeout). True if it was still active.
     pub fn cancel(&mut self, sched_id: RequestId) -> bool {
-        self.active.remove(&sched_id);
+        self.active.remove(sched_id);
         self.scheduler.cancel(sched_id)
     }
 
@@ -253,12 +254,7 @@ impl Replica {
             }
             StepPlan::Decode { ids } => {
                 let batch = ids.len().max(1);
-                let ctx_sum: usize = ids
-                    .iter()
-                    .filter_map(|id| self.scheduler.seq(*id))
-                    .map(|s| s.context_len())
-                    .sum();
-                let mean_ctx = (ctx_sum / batch).max(1);
+                let mean_ctx = (self.scheduler.running_context_tokens() / batch).max(1);
                 let model = &self.model;
                 (
                     prices.get_or_price((1, batch as u64, mean_ctx as u64), || {
@@ -304,21 +300,18 @@ impl Replica {
         let mut finished = Vec::new();
         match flight.plan {
             StepPlan::Prefill { ids, .. } => {
-                let done = self.scheduler.commit_prefill(&ids);
-                for id in &ids {
+                for &id in &ids {
                     if let Some(a) = self.active.get_mut(id) {
                         a.first_token_s.get_or_insert(now_s);
                     }
                 }
-                for id in done {
-                    self.finish(id, now_s, &mut finished);
+                for done in self.scheduler.commit_prefill(&ids) {
+                    self.finish(done, now_s, &mut finished);
                 }
             }
             StepPlan::Decode { ids } => {
-                for id in ids {
-                    if self.scheduler.commit_decode(id) {
-                        self.finish(id, now_s, &mut finished);
-                    }
+                for done in self.scheduler.commit_decode_all(&ids) {
+                    self.finish(done, now_s, &mut finished);
                 }
             }
             StepPlan::Idle => {}
@@ -326,18 +319,15 @@ impl Replica {
         (finished, Some((flight.kind, flight.batch, flight.start_s)))
     }
 
-    fn finish(&mut self, id: RequestId, now_s: f64, out: &mut Vec<FinishedRequest>) {
-        let Some(active) = self.active.remove(&id) else {
+    fn finish(&mut self, done: FinishedSeq, now_s: f64, out: &mut Vec<FinishedRequest>) {
+        let Some(active) = self.active.remove(done.id) else {
             return; // canceled while the step was in flight
-        };
-        let Some(seq) = self.scheduler.seq(id) else {
-            return;
         };
         self.completed += 1;
         out.push(FinishedRequest {
             cluster_id: active.cluster_id,
             prompt_len: active.prompt_len,
-            generated: seq.generated,
+            generated: done.generated,
             first_token_s: active.first_token_s.unwrap_or(now_s),
             finish_s: now_s,
         });

@@ -1,16 +1,29 @@
 //! Paged-KV block accounting (the management half of vLLM's
 //! PagedAttention; the storage half lives in `moe_engine::kvcache`).
 //!
-//! The manager tracks physical-block ownership per sequence. Capacity is
-//! expressed in blocks of `block_tokens` tokens; one logical sequence
-//! block corresponds to `num_layers` physical blocks, which is folded into
-//! the capacity accounting by the caller. A watermark reserve keeps a
+//! The manager is the pool's accountant: capacity in blocks of
+//! `block_tokens` tokens, and the free count. What a sequence owns is a
+//! [`BlockLease`] the caller keeps with the sequence (the scheduler
+//! stores it in the sequence record), so growing or releasing a
+//! sequence touches no per-sequence index. One logical sequence block
+//! corresponds to `num_layers` physical blocks, which is folded into the
+//! capacity accounting by the caller. A watermark reserve keeps a
 //! fraction of blocks free so running sequences can grow without
 //! immediately preempting.
 
-use std::collections::BTreeMap;
+/// Blocks held by one sequence. Only a [`BlockManager`] changes it;
+/// the default lease holds nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockLease {
+    blocks: usize,
+}
 
-use crate::request::RequestId;
+impl BlockLease {
+    /// Blocks held.
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+}
 
 /// Block-pool accountant.
 #[derive(Debug, Clone)]
@@ -20,7 +33,6 @@ pub struct BlockManager {
     free_blocks: usize,
     /// Fraction of blocks kept free when admitting *new* sequences.
     watermark: f64,
-    owned: BTreeMap<RequestId, usize>,
 }
 
 impl BlockManager {
@@ -31,7 +43,6 @@ impl BlockManager {
             total_blocks,
             free_blocks: total_blocks,
             watermark: 0.01,
-            owned: BTreeMap::new(),
         }
     }
 
@@ -59,11 +70,6 @@ impl BlockManager {
         self.total_blocks - self.free_blocks
     }
 
-    /// Blocks currently owned by a sequence.
-    pub fn owned_by(&self, id: RequestId) -> usize {
-        self.owned.get(&id).copied().unwrap_or(0)
-    }
-
     /// Pool utilization in [0, 1].
     pub fn utilization(&self) -> f64 {
         if self.total_blocks == 0 {
@@ -81,33 +87,29 @@ impl BlockManager {
         self.free_blocks >= needed + reserve
     }
 
-    /// Allocate blocks to hold `tokens` for a new sequence. Returns false
-    /// (allocating nothing) if the pool cannot satisfy it.
-    pub fn allocate(&mut self, id: RequestId, tokens: usize) -> bool {
-        assert!(
-            !self.owned.contains_key(&id),
-            "sequence {id} already allocated"
-        );
+    /// Allocate blocks to hold `tokens` into an empty lease. Returns
+    /// false (allocating nothing) if the pool cannot satisfy it.
+    pub fn allocate(&mut self, lease: &mut BlockLease, tokens: usize) -> bool {
+        assert_eq!(lease.blocks, 0, "lease already allocated");
         let needed = self.blocks_for(tokens);
         if needed > self.free_blocks {
             return false;
         }
         self.free_blocks -= needed;
-        self.owned.insert(id, needed);
+        lease.blocks = needed;
         true
     }
 
-    /// Grow a sequence from `old_tokens` to `new_tokens`. Returns false if
+    /// Grow a lease from `old_tokens` to `new_tokens`. Returns false if
     /// the extra blocks are unavailable (caller should preempt).
-    pub fn grow(&mut self, id: RequestId, old_tokens: usize, new_tokens: usize) -> bool {
+    pub fn grow(&mut self, lease: &mut BlockLease, old_tokens: usize, new_tokens: usize) -> bool {
         assert!(new_tokens >= old_tokens);
-        let have = self.owned_by(id);
         debug_assert!(
-            have >= self.blocks_for(old_tokens).saturating_sub(1),
-            "grow with stale accounting for {id}"
+            lease.blocks >= self.blocks_for(old_tokens).saturating_sub(1),
+            "grow with stale accounting"
         );
         let need = self.blocks_for(new_tokens);
-        let extra = need.saturating_sub(have);
+        let extra = need.saturating_sub(lease.blocks);
         if extra == 0 {
             return true;
         }
@@ -115,20 +117,20 @@ impl BlockManager {
             return false;
         }
         self.free_blocks -= extra;
-        self.owned.insert(id, need);
+        lease.blocks = need;
         true
     }
 
-    /// Release all blocks of a sequence (finish or preemption).
-    pub fn release(&mut self, id: RequestId) {
-        if let Some(n) = self.owned.remove(&id) {
-            self.free_blocks += n;
-        }
+    /// Return a lease's blocks to the pool (finish or preemption),
+    /// leaving it empty.
+    pub fn release(&mut self, lease: &mut BlockLease) {
+        self.free_blocks += std::mem::take(&mut lease.blocks);
     }
 
-    /// Invariant check: free + owned == total.
-    pub fn check_invariants(&self) {
-        let owned: usize = self.owned.values().sum();
+    /// Invariant check: the blocks of every outstanding lease plus the
+    /// free blocks make up the pool.
+    pub fn check_invariants<'a>(&self, leases: impl IntoIterator<Item = &'a BlockLease>) {
+        let owned: usize = leases.into_iter().map(BlockLease::blocks).sum();
         assert_eq!(
             owned + self.free_blocks,
             self.total_blocks,
@@ -155,41 +157,47 @@ mod tests {
     #[test]
     fn allocate_and_release_roundtrip() {
         let mut m = BlockManager::new(10, 16);
-        assert!(m.allocate(1, 100)); // 7 blocks
+        let mut a = BlockLease::default();
+        assert!(m.allocate(&mut a, 100)); // 7 blocks
         assert_eq!(m.free_blocks(), 3);
-        assert_eq!(m.owned_by(1), 7);
-        m.release(1);
+        assert_eq!(a.blocks(), 7);
+        m.check_invariants([&a]);
+        m.release(&mut a);
+        assert_eq!(a.blocks(), 0);
         assert_eq!(m.free_blocks(), 10);
-        m.check_invariants();
+        m.check_invariants([&a]);
     }
 
     #[test]
     fn allocate_fails_cleanly_when_full() {
         let mut m = BlockManager::new(4, 16);
-        assert!(m.allocate(1, 64)); // all 4 blocks
-        assert!(!m.allocate(2, 1));
-        assert_eq!(m.owned_by(2), 0);
-        m.check_invariants();
+        let (mut a, mut b) = (BlockLease::default(), BlockLease::default());
+        assert!(m.allocate(&mut a, 64)); // all 4 blocks
+        assert!(!m.allocate(&mut b, 1));
+        assert_eq!(b.blocks(), 0);
+        m.check_invariants([&a, &b]);
     }
 
     #[test]
     fn grow_only_charges_boundary_crossings() {
         let mut m = BlockManager::new(10, 16);
-        assert!(m.allocate(1, 16)); // 1 block
-        assert!(m.grow(1, 16, 17)); // new block
-        assert_eq!(m.owned_by(1), 2);
-        assert!(m.grow(1, 17, 18)); // same block
-        assert_eq!(m.owned_by(1), 2);
+        let mut a = BlockLease::default();
+        assert!(m.allocate(&mut a, 16)); // 1 block
+        assert!(m.grow(&mut a, 16, 17)); // new block
+        assert_eq!(a.blocks(), 2);
+        assert!(m.grow(&mut a, 17, 18)); // same block
+        assert_eq!(a.blocks(), 2);
         assert_eq!(m.free_blocks(), 8);
     }
 
     #[test]
     fn grow_fails_without_space() {
         let mut m = BlockManager::new(2, 16);
-        assert!(m.allocate(1, 32)); // both blocks
-        assert!(!m.grow(1, 32, 33));
-        assert_eq!(m.owned_by(1), 2); // unchanged
-        m.check_invariants();
+        let mut a = BlockLease::default();
+        assert!(m.allocate(&mut a, 32)); // both blocks
+        assert!(!m.grow(&mut a, 32, 33));
+        assert_eq!(a.blocks(), 2); // unchanged
+        m.check_invariants([&a]);
     }
 
     #[test]
@@ -198,8 +206,9 @@ mod tests {
         assert!(m.can_admit(96)); // 6 blocks + 3 reserve <= 10
         assert!(!m.can_admit(128)); // 8 + 3 > 10
                                     // Growth may dip into the reserve.
-        assert!(m.allocate(1, 112)); // 7 blocks
-        assert!(m.grow(1, 112, 160)); // 10 blocks total
+        let mut a = BlockLease::default();
+        assert!(m.allocate(&mut a, 112)); // 7 blocks
+        assert!(m.grow(&mut a, 112, 160)); // 10 blocks total
         assert_eq!(m.free_blocks(), 0);
     }
 
@@ -207,8 +216,9 @@ mod tests {
     #[should_panic(expected = "already allocated")]
     fn double_allocate_panics() {
         let mut m = BlockManager::new(10, 16);
-        m.allocate(1, 16);
-        m.allocate(1, 16);
+        let mut a = BlockLease::default();
+        m.allocate(&mut a, 16);
+        m.allocate(&mut a, 16);
     }
 
     // Deterministic randomized sweep (replacing the former proptest version).
@@ -218,30 +228,31 @@ mod tests {
         for _ in 0..48 {
             let n_ops = 1 + rng.next_below(59);
             let mut m = BlockManager::new(64, 16);
-            let mut live: std::collections::BTreeMap<u64, usize> = Default::default();
+            let mut leases: Vec<BlockLease> = vec![BlockLease::default(); 8];
+            let mut live: std::collections::BTreeMap<usize, usize> = Default::default();
             for _ in 0..n_ops {
-                let id = rng.next_below(8) as u64;
+                let id = rng.next_below(8);
                 let tokens = 1 + rng.next_below(199);
                 match rng.next_below(3) {
                     0 => {
-                        if !live.contains_key(&id) && m.allocate(id, tokens) {
+                        if !live.contains_key(&id) && m.allocate(&mut leases[id], tokens) {
                             live.insert(id, tokens);
                         }
                     }
                     1 => {
                         if let Some(&old) = live.get(&id) {
                             let new = old + tokens;
-                            if m.grow(id, old, new) {
+                            if m.grow(&mut leases[id], old, new) {
                                 live.insert(id, new);
                             }
                         }
                     }
                     _ => {
-                        m.release(id);
+                        m.release(&mut leases[id]);
                         live.remove(&id);
                     }
                 }
-                m.check_invariants();
+                m.check_invariants(&leases);
                 // Never over-allocated.
                 assert!(m.used_blocks() <= m.total_blocks());
             }

@@ -6,6 +6,8 @@
 //!
 //! * a **paged-KV block manager** with watermark admission and preemption
 //!   accounting ([`blockmgr`]);
+//! * a dense **slot table** keyed by request id, the O(1) per-sequence
+//!   storage of the scheduler and the cluster replica ([`slots`]);
 //! * a **continuous-batching scheduler**: FCFS admission of prefills under
 //!   a token budget, batched decode for running sequences,
 //!   recompute-style preemption under memory pressure ([`scheduler`]);
@@ -27,8 +29,10 @@ pub mod prefixcache;
 pub mod request;
 pub mod scheduler;
 pub mod simserver;
+pub mod slots;
 
-pub use blockmgr::BlockManager;
+pub use blockmgr::{BlockLease, BlockManager};
 pub use request::{Request, RequestId, RequestOutput, SeqState};
-pub use scheduler::{Scheduler, SchedulerConfig, StepPlan};
+pub use scheduler::{FinishedSeq, Scheduler, SchedulerConfig, StepPlan};
 pub use simserver::{SimReport, SimServer};
+pub use slots::SlotTable;

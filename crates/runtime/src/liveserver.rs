@@ -12,7 +12,7 @@ use moe_tensor::ops::argmax;
 
 use crate::prefixcache::PrefixCache;
 use crate::request::{Request, RequestId, SeqState};
-use crate::scheduler::{Scheduler, SchedulerConfig, StepPlan};
+use crate::scheduler::{FinishedSeq, Scheduler, SchedulerConfig, StepPlan};
 
 /// One live sequence's token state.
 #[derive(Debug)]
@@ -20,6 +20,12 @@ struct LiveSeq {
     prompt: Vec<usize>,
     generated: Vec<usize>,
     kv: Option<PagedKv>,
+}
+
+fn is_running(scheduler: &Scheduler, id: RequestId) -> bool {
+    scheduler
+        .seq(id)
+        .is_some_and(|s| s.state == SeqState::Running)
 }
 
 /// A serving engine running real forward passes.
@@ -79,14 +85,21 @@ impl LiveServer {
         self.scheduler.blocks().used_blocks()
     }
 
-    /// Drop KV of sequences the scheduler preempted since the last step.
+    /// Drop KV of sequences the scheduler preempted since the last step
+    /// (recompute-style preemption).
     fn reap_preempted(&mut self) {
         for (id, live) in self.seqs.iter_mut() {
-            if live.kv.is_some() {
-                let state = self.scheduler.seq(*id).expect("known seq").state; // lint:allow(no-panic-in-lib) -- seqs map invariant: every scheduled id was inserted at submit
-                if state == SeqState::Waiting {
-                    live.kv = None; // recompute-style preemption
-                }
+            if live.kv.is_some() && !is_running(&self.scheduler, *id) {
+                live.kv = None;
+            }
+        }
+    }
+
+    /// Drop the KV of sequences that just finished.
+    fn release_kv(&mut self, finished: &[FinishedSeq]) {
+        for done in finished {
+            if let Some(live) = self.seqs.get_mut(&done.id) {
+                live.kv = None;
             }
         }
     }
@@ -132,7 +145,8 @@ impl LiveServer {
                     live.generated.push(next);
                     live.kv = Some(kv);
                 }
-                self.scheduler.commit_prefill(&ids);
+                let finished = self.scheduler.commit_prefill(&ids);
+                self.release_kv(&finished);
             }
             StepPlan::Decode { ids } => {
                 self.reap_preempted();
@@ -140,10 +154,7 @@ impl LiveServer {
                 // have dropped some KV; those sequences re-prefill later.
                 let active: Vec<RequestId> = ids
                     .into_iter()
-                    .filter(|id| {
-                        // lint:allow(no-panic-in-lib) -- scheduler invariant: ids in the step plan are known
-                        self.scheduler.seq(*id).expect("known seq").state == SeqState::Running
-                    })
+                    .filter(|&id| is_running(&self.scheduler, id))
                     .collect();
                 if active.is_empty() {
                     return true;
@@ -171,10 +182,9 @@ impl LiveServer {
                     let live = self.seqs.get_mut(id).expect("running seq"); // lint:allow(no-panic-in-lib) -- seqs map invariant: running ids were inserted at submit
                     live.generated.push(next);
                     live.kv = Some(kv);
-                    if self.scheduler.commit_decode(*id) {
-                        live.kv = None;
-                    }
                 }
+                let finished = self.scheduler.commit_decode_all(&active);
+                self.release_kv(&finished);
             }
             StepPlan::Idle => return false,
         }

@@ -31,18 +31,16 @@ impl Request {
     }
 }
 
-/// Lifecycle state of a sequence in the scheduler.
+/// Lifecycle state of a live sequence in the scheduler. A finished or
+/// cancelled sequence has no state: its record leaves the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, ToJson, FromJson)]
 pub enum SeqState {
-    /// Queued, no KV allocated.
+    /// Queued, no KV allocated: not yet admitted, or evicted under
+    /// memory pressure and due to re-prefill (recompute-style
+    /// preemption).
     Waiting,
     /// Prefilled and decoding.
     Running,
-    /// Evicted under memory pressure; will re-prefill (recompute-style
-    /// preemption).
-    Preempted,
-    /// All tokens generated.
-    Finished,
 }
 
 /// Completion record with the per-request serving metrics.

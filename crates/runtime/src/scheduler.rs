@@ -16,22 +16,59 @@
 //! queue at the tail in id order, and preempted sequences re-queue at the
 //! *head* (they hold generated tokens that must not starve) — also in id
 //! order among themselves, because preemption evicts strictly newest-first
-//! (ties on the admission stamp break toward the higher id) and each
-//! eviction prepends. Every tie anywhere in the scheduler is broken by
-//! `RequestId`, never by map iteration order, so cluster-level replays
-//! that fan requests across schedulers are byte-stable. The
+//! and each eviction prepends. Every tie anywhere in the scheduler is
+//! broken by `RequestId`, never by map iteration order, so cluster-level
+//! replays that fan requests across schedulers are byte-stable. The
 //! `fcfs_admission_is_ordered_by_request_id` test pins this.
+//!
+//! ## Bookkeeping
+//!
+//! Every per-sequence operation is O(1), so a step costs O(batch):
+//!
+//! * **Slot table.** Sequence records live in a [`SlotTable`] indexed by
+//!   `RequestId` (ids are dense and ascending, one counter per
+//!   scheduler). Each record carries its own [`BlockLease`], so reserving
+//!   KV for a sequence is one index and no map. A record leaves the table
+//!   when its sequence finishes or is cancelled, and the table trims its
+//!   ends, so it spans only the oldest live id to the newest: the
+//!   scheduler's memory follows concurrency, not how many requests it
+//!   has served.
+//! * **Admission order of `running`.** `running` is sorted by admission
+//!   stamp: admission appends strictly larger stamps and every removal
+//!   keeps the order. The newest running sequence is therefore the tail,
+//!   and preemption pops it. When a decode plan fails to grow sequence
+//!   `i`, it preempts and resumes at `i` rather than at 0, because growth
+//!   is idempotent per block: a decode plan costs O(running +
+//!   preemptions).
+//! * **Waiting queue.** A `VecDeque`: admission pops the head, preemption
+//!   pushes onto it.
+//! * **Running context sum.** [`Scheduler::running_context_tokens`] is
+//!   kept up to date as sequences are admitted, grow, finish, are
+//!   preempted or cancelled, so pricing a decode step needs no pass over
+//!   the batch.
+//!
+//! ## Commit contract
+//!
+//! A planned step is committed with the plan's ids through
+//! [`Scheduler::commit_prefill`] or [`Scheduler::commit_decode_all`].
+//! Each call adds one generated token to every listed sequence that is
+//! still live (ids cancelled while the step was in flight are skipped),
+//! compacts `running` once, and returns the sequences that finished as
+//! [`FinishedSeq`] values, in plan order. A finished sequence's record is
+//! gone when the call returns — [`Scheduler::seq`] answers `None` for it
+//! — so callers take what they need from the returned value.
 //!
 //! The scheduler is pure bookkeeping — no clock, no tensors — so both the
 //! simulated and the live server drive it and its behaviour is
 //! deterministic and unit-testable.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use moe_json::{FromJson, ToJson};
 
-use crate::blockmgr::BlockManager;
+use crate::blockmgr::{BlockLease, BlockManager};
 use crate::request::{Request, RequestId, SeqState};
+use crate::slots::SlotTable;
 
 /// Scheduler limits.
 #[derive(Debug, Clone, Copy, PartialEq, ToJson, FromJson)]
@@ -57,7 +94,7 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Scheduler-internal sequence record.
+/// Scheduler-internal record of a live (waiting or running) sequence.
 #[derive(Debug, Clone)]
 pub struct SeqRecord {
     pub id: RequestId,
@@ -68,6 +105,8 @@ pub struct SeqRecord {
     /// Admission order stamp of the latest (re-)admission.
     pub admitted_at: u64,
     pub preemptions: usize,
+    /// KV blocks held (empty while waiting).
+    pub lease: BlockLease,
 }
 
 impl SeqRecord {
@@ -80,6 +119,17 @@ impl SeqRecord {
     pub fn done(&self) -> bool {
         self.generated >= self.request.max_new_tokens
     }
+}
+
+/// A sequence that generated its last token, as the commit calls return
+/// it. Its record and KV blocks are already released.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FinishedSeq {
+    pub id: RequestId,
+    /// Total tokens generated.
+    pub generated: usize,
+    /// Times the sequence was preempted and recomputed.
+    pub preemptions: usize,
 }
 
 /// One scheduler decision, recorded when event recording is on.
@@ -132,10 +182,14 @@ pub enum StepPlan {
 pub struct Scheduler {
     cfg: SchedulerConfig,
     blocks: BlockManager,
-    seqs: BTreeMap<RequestId, SeqRecord>,
+    /// Records of the live sequences, by id.
+    seqs: SlotTable<SeqRecord>,
     /// FCFS waiting queue (front = next to admit).
-    waiting: Vec<RequestId>,
+    waiting: VecDeque<RequestId>,
+    /// Running sequences in ascending admission-stamp order.
     running: Vec<RequestId>,
+    /// Sum of `context_len()` over `running`.
+    running_ctx: usize,
     next_id: RequestId,
     admission_stamp: u64,
     /// When true, decisions append to `events` (off by default: the hot
@@ -149,9 +203,10 @@ impl Scheduler {
         Self {
             blocks: BlockManager::new(cfg.total_blocks, cfg.block_tokens),
             cfg,
-            seqs: BTreeMap::new(),
-            waiting: Vec::new(),
+            seqs: SlotTable::new(),
+            waiting: VecDeque::new(),
             running: Vec::new(),
+            running_ctx: 0,
             next_id: 0,
             admission_stamp: 0,
             record_events: false,
@@ -202,14 +257,17 @@ impl Scheduler {
                 generated: 0,
                 admitted_at: 0,
                 preemptions: 0,
+                lease: BlockLease::default(),
             },
         );
-        self.waiting.push(id);
+        self.waiting.push_back(id);
         id
     }
 
+    /// The record of a live (waiting or running) sequence; `None` once
+    /// it finished or was cancelled.
     pub fn seq(&self, id: RequestId) -> Option<&SeqRecord> {
-        self.seqs.get(&id)
+        self.seqs.get(id)
     }
 
     pub fn num_waiting(&self) -> usize {
@@ -218,6 +276,12 @@ impl Scheduler {
 
     pub fn num_running(&self) -> usize {
         self.running.len()
+    }
+
+    /// Context tokens (prompt + generated) summed over the running
+    /// sequences. Right after a decode plan this is the batch's context.
+    pub fn running_context_tokens(&self) -> usize {
+        self.running_ctx
     }
 
     /// Are there unfinished sequences anywhere?
@@ -232,55 +296,39 @@ impl Scheduler {
         // --- Try to admit waiting sequences into a prefill batch. ---
         let mut admit: Vec<RequestId> = Vec::new();
         let mut tokens = 0usize;
-        while let Some(&id) = self.waiting.first() {
+        while let Some(&id) = self.waiting.front() {
             if self.running.len() + admit.len() >= self.cfg.max_running {
                 break;
             }
-            let seq = &self.seqs[&id];
+            let seq = &mut self.seqs[id];
             // On re-admission after preemption the whole prefix
             // (prompt + generated) is recomputed.
             let need = seq.context_len();
-            if tokens + need > self.cfg.max_batched_tokens && !admit.is_empty() {
+            let over_budget = tokens + need > self.cfg.max_batched_tokens;
+            if over_budget && !admit.is_empty() {
                 break;
             }
-            if tokens + need > self.cfg.max_batched_tokens {
-                // A single over-budget prompt still goes alone (chunking
-                // is modeled as one long step).
-                if !self.blocks.can_admit(need) {
-                    break;
-                }
-                if !self.blocks.allocate(id, need) {
-                    break;
-                }
-                self.waiting.remove(0);
-                admit.push(id);
-                tokens += need;
+            if !self.blocks.can_admit(need) || !self.blocks.allocate(&mut seq.lease, need) {
                 break;
             }
-            if !self.blocks.can_admit(need) {
-                break;
-            }
-            if !self.blocks.allocate(id, need) {
-                break;
-            }
-            self.waiting.remove(0);
+            self.waiting.pop_front();
             admit.push(id);
             tokens += need;
+            if over_budget {
+                // A single over-budget prompt still goes alone (chunking
+                // is modeled as one long step).
+                break;
+            }
         }
         if !admit.is_empty() {
-            for id in &admit {
-                let stamp = self.admission_stamp;
+            for &id in &admit {
+                let seq = &mut self.seqs[id];
+                seq.state = SeqState::Running;
+                seq.admitted_at = self.admission_stamp;
                 self.admission_stamp += 1;
-                if let Some(seq) = self.seqs.get_mut(id) {
-                    seq.state = SeqState::Running;
-                    seq.admitted_at = stamp;
-                }
-            }
-            if self.record_events {
-                for &id in &admit {
-                    let context_tokens = self.seqs[&id].context_len();
-                    self.record(SchedEvent::Admitted { id, context_tokens });
-                }
+                let context_tokens = seq.context_len();
+                self.running_ctx += context_tokens;
+                self.record(SchedEvent::Admitted { id, context_tokens });
             }
             self.running.extend(&admit);
             return StepPlan::Prefill { ids: admit, tokens };
@@ -288,16 +336,14 @@ impl Scheduler {
 
         // --- Decode step: grow every running sequence by one token,
         // preempting the newest sequences until everything fits. ---
-        if self.running.is_empty() {
-            return StepPlan::Idle;
-        }
-        loop {
-            if self.try_grow_all() {
-                break;
-            }
+        let mut from = 0;
+        while let Some(failed) = self.grow_running_from(from) {
             if !self.preempt_newest() {
                 break; // nothing left to preempt; run with what fits
             }
+            // Everything before `failed` already holds its next token's
+            // block, and the eviction only removed the tail.
+            from = failed;
         }
         if self.running.is_empty() {
             return StepPlan::Idle;
@@ -307,113 +353,193 @@ impl Scheduler {
         }
     }
 
-    /// Reserve one more token of KV for every running sequence. Already
-    /// reserved boundary blocks are free (grow is idempotent per block),
-    /// so partial success before a failure needs no rollback: the retry
-    /// after preemption simply re-reserves. Returns false if any sequence
-    /// could not grow.
-    fn try_grow_all(&mut self) -> bool {
-        let ids: Vec<RequestId> = self.running.clone();
-        for id in ids {
-            let ctx = self.seqs[&id].context_len();
-            if !self.blocks.grow(id, ctx, ctx + 1) {
-                return false;
+    /// Reserve one more token of KV for `running[from..]`. Returns the
+    /// index of the first sequence that could not grow. Already reserved
+    /// boundary blocks are free (grow is idempotent per block), so a
+    /// failure needs no rollback.
+    fn grow_running_from(&mut self, from: usize) -> Option<usize> {
+        for (i, &id) in self.running.iter().enumerate().skip(from) {
+            let seq = &mut self.seqs[id];
+            let ctx = seq.context_len();
+            if !self.blocks.grow(&mut seq.lease, ctx, ctx + 1) {
+                return Some(i);
             }
         }
-        true
+        None
     }
 
-    /// Evict the most recently admitted running sequence. Ties on the
-    /// admission stamp (impossible today — stamps are unique — but cheap
-    /// to make explicit) break toward the higher `RequestId`, keeping the
-    /// eviction order a pure function of scheduler state.
+    /// Is `running` in strictly ascending admission-stamp order?
+    fn running_in_admission_order(&self) -> bool {
+        self.running
+            .windows(2)
+            .all(|w| self.seqs[w[0]].admitted_at < self.seqs[w[1]].admitted_at)
+    }
+
+    /// Evict the most recently admitted running sequence — the tail of
+    /// `running` (see the module docs) — to the head of the waiting
+    /// queue.
     fn preempt_newest(&mut self) -> bool {
-        let Some((pos, &id)) = self
-            .running
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, id)| (self.seqs[id].admitted_at, **id))
-        else {
+        debug_assert!(
+            self.running_in_admission_order(),
+            "running must stay in admission order"
+        );
+        let Some(id) = self.running.pop() else {
             return false;
         };
-        self.running.remove(pos);
-        self.blocks.release(id);
-        if let Some(seq) = self.seqs.get_mut(&id) {
-            seq.state = SeqState::Preempted;
-            seq.preemptions += 1;
-        }
+        let seq = &mut self.seqs[id];
+        self.blocks.release(&mut seq.lease);
+        self.running_ctx -= seq.context_len();
+        seq.state = SeqState::Waiting;
+        seq.preemptions += 1;
+        let preemptions = seq.preemptions;
         // Recompute-style: back to the head of the waiting queue.
-        self.waiting.insert(0, id);
-        if let Some(seq) = self.seqs.get_mut(&id) {
-            seq.state = SeqState::Waiting;
-        }
-        if self.record_events {
-            let preemptions = self.seqs[&id].preemptions;
-            self.record(SchedEvent::Preempted { id, preemptions });
-        }
+        self.waiting.push_front(id);
+        self.record(SchedEvent::Preempted { id, preemptions });
         true
     }
 
-    /// Commit one decoded token for a sequence (KV block already reserved
-    /// by `plan_step`). Returns true when the sequence just finished.
-    pub fn commit_decode(&mut self, id: RequestId) -> bool {
-        let Some(seq) = self.seqs.get_mut(&id) else {
-            return false;
-        };
-        assert_eq!(seq.state, SeqState::Running, "decode on non-running seq");
-        seq.generated += 1;
-        if seq.done() {
-            seq.state = SeqState::Finished;
-            let generated = seq.generated;
-            self.running.retain(|&r| r != id);
-            self.blocks.release(id);
-            self.record(SchedEvent::Finished { id, generated });
-            true
-        } else {
-            false
-        }
+    /// Commit a prefill step: prefill also produces each sequence's first
+    /// token. See the module docs for the commit contract.
+    pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<FinishedSeq> {
+        self.commit(ids, true)
     }
 
-    /// Prefill also produces each sequence's first token; commit it.
-    /// Returns sequences that finished at the first token. Ids canceled
-    /// between planning and commit (a serving front-end timing out a
-    /// request mid-step) are skipped.
-    pub fn commit_prefill(&mut self, ids: &[RequestId]) -> Vec<RequestId> {
+    /// Commit one decoded token for each sequence of a decode step (KV
+    /// blocks already reserved by `plan_step`). See the module docs for
+    /// the commit contract.
+    pub fn commit_decode_all(&mut self, ids: &[RequestId]) -> Vec<FinishedSeq> {
+        self.commit(ids, false)
+    }
+
+    fn commit(&mut self, ids: &[RequestId], prefill: bool) -> Vec<FinishedSeq> {
         let mut finished = Vec::new();
         for &id in ids {
-            let Some(seq) = self.seqs.get(&id) else {
+            let Some(seq) = self.seqs.get_mut(id) else {
                 continue; // canceled while the step was in flight
             };
-            // The first token occupies KV beyond the prompt.
-            let ctx = seq.context_len();
-            // Growth may dip into the watermark reserve; if even that
-            // fails the next decode plan will preempt.
-            let _ = self.blocks.grow(id, ctx, ctx + 1);
-            if self.commit_decode(id) {
-                finished.push(id);
+            assert_eq!(seq.state, SeqState::Running, "commit on non-running seq");
+            if prefill {
+                // The first token occupies KV beyond the prompt. Growth
+                // may dip into the watermark reserve; if even that fails
+                // the next decode plan will preempt.
+                let ctx = seq.context_len();
+                let _ = self.blocks.grow(&mut seq.lease, ctx, ctx + 1);
             }
+            seq.generated += 1;
+            self.running_ctx += 1;
+            if seq.done() {
+                self.blocks.release(&mut seq.lease);
+                self.running_ctx -= seq.context_len();
+                let done = FinishedSeq {
+                    id,
+                    generated: seq.generated,
+                    preemptions: seq.preemptions,
+                };
+                self.seqs.remove(id);
+                self.record(SchedEvent::Finished {
+                    id,
+                    generated: done.generated,
+                });
+                finished.push(done);
+            }
+        }
+        if !finished.is_empty() {
+            let seqs = &self.seqs;
+            self.running.retain(|&id| seqs.get(id).is_some());
         }
         finished
     }
 
-    /// Remove a sequence entirely — its queue slots, KV blocks, and
+    /// Remove a sequence entirely — its queue slot, KV blocks, and
     /// record. Used by serving front-ends to enforce per-request timeouts
     /// and to fail over requests off a crashed replica. Safe to call while
     /// a planned step is in flight: the commit path skips unknown ids.
-    /// Returns `false` when the id is unknown or already finished (a
-    /// finished sequence keeps its record so completions stay queryable).
+    /// Returns `false` when the id is unknown or already finished.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        match self.seqs.get(&id) {
-            None => false,
-            Some(seq) if seq.state == SeqState::Finished => false,
-            Some(_) => {
-                self.waiting.retain(|&w| w != id);
-                self.running.retain(|&r| r != id);
-                self.blocks.release(id);
-                self.seqs.remove(&id);
-                true
+        let Some(mut seq) = self.seqs.remove(id) else {
+            return false;
+        };
+        match seq.state {
+            SeqState::Waiting => {
+                if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
+                    self.waiting.remove(pos);
+                }
+            }
+            SeqState::Running => {
+                if let Some(pos) = self.running.iter().position(|&r| r == id) {
+                    self.running.remove(pos);
+                }
+                self.running_ctx -= seq.context_len();
             }
         }
+        self.blocks.release(&mut seq.lease);
+        true
+    }
+}
+
+#[cfg(test)]
+impl Scheduler {
+    /// Every bookkeeping invariant of the module docs, recomputed from
+    /// scratch.
+    fn check_invariants(&self) {
+        // The table holds exactly the queued sequences, each queued once.
+        let live: std::collections::BTreeSet<RequestId> =
+            self.waiting.iter().chain(&self.running).copied().collect();
+        assert_eq!(live.len(), self.waiting.len() + self.running.len());
+        assert_eq!(live.len(), self.seqs.len());
+        self.blocks
+            .check_invariants(live.iter().map(|&id| &self.seqs[id].lease));
+        assert!(
+            self.running_in_admission_order(),
+            "running out of admission order: {:?}",
+            self.running
+        );
+        for &id in &self.running {
+            assert_eq!(self.seqs[id].state, SeqState::Running);
+        }
+        for &id in &self.waiting {
+            assert_eq!(self.seqs[id].state, SeqState::Waiting);
+            assert_eq!(self.seqs[id].lease.blocks(), 0, "waiting {id} holds KV");
+        }
+        // FCFS: preempted sequences first, then never-admitted ones,
+        // each group in ascending id order.
+        let preempted = self
+            .waiting
+            .iter()
+            .take_while(|&&id| self.seqs[id].preemptions > 0)
+            .count();
+        let (head, tail): (Vec<RequestId>, Vec<RequestId>) = (
+            self.waiting.iter().take(preempted).copied().collect(),
+            self.waiting.iter().skip(preempted).copied().collect(),
+        );
+        assert!(
+            tail.iter().all(|&id| self.seqs[id].preemptions == 0),
+            "a preempted sequence queues behind a fresh one: {:?}",
+            self.waiting
+        );
+        for group in [&head, &tail] {
+            assert!(
+                group.windows(2).all(|w| w[0] < w[1]),
+                "waiting out of id order: {:?}",
+                self.waiting
+            );
+        }
+        let ctx: usize = self
+            .running
+            .iter()
+            .map(|&id| self.seqs[id].context_len())
+            .sum();
+        assert_eq!(self.running_ctx, ctx, "running context sum drifted");
+        // The table spans only the live id range.
+        let span = match (live.first(), live.last()) {
+            (Some(lo), Some(hi)) => usize::try_from(hi - lo + 1).unwrap(),
+            _ => 0,
+        };
+        assert!(
+            self.seqs.span() <= span,
+            "slot table spans {} slots for a live id range of {span}",
+            self.seqs.span()
+        );
     }
 }
 
@@ -461,8 +587,9 @@ mod tests {
             match s.plan_step() {
                 StepPlan::Decode { ids } => {
                     assert_eq!(ids, vec![a]);
-                    let finished = s.commit_decode(a);
-                    assert_eq!(finished, step == 1);
+                    assert_eq!(s.running_context_tokens(), 10 + 1 + step);
+                    let finished = s.commit_decode_all(&ids);
+                    assert_eq!(!finished.is_empty(), step == 1);
                 }
                 other => panic!("step {step}: {other:?}"),
             }
@@ -509,9 +636,7 @@ mod tests {
         for _ in 0..40 {
             match s.plan_step() {
                 StepPlan::Decode { ids } => {
-                    for id in ids {
-                        s.commit_decode(id);
-                    }
+                    s.commit_decode_all(&ids);
                 }
                 StepPlan::Prefill { ids, .. } => {
                     s.commit_prefill(&ids);
@@ -527,7 +652,7 @@ mod tests {
             }
         }
         assert!(b_preempted, "expected the newer sequence to be preempted");
-        s.blocks().check_invariants();
+        s.check_invariants();
     }
 
     #[test]
@@ -542,31 +667,32 @@ mod tests {
             s.submit(Request::new(48, 40)),
             s.submit(Request::new(48, 40)),
         ];
-        let mut finished = 0;
+        let mut finished = Vec::new();
         let mut guard = 0;
         while s.has_work() {
             guard += 1;
             assert!(guard < 10_000, "scheduler livelock");
             match s.plan_step() {
                 StepPlan::Prefill { ids, .. } => {
-                    finished += s.commit_prefill(&ids).len();
+                    finished.extend(s.commit_prefill(&ids));
                 }
                 StepPlan::Decode { ids } => {
-                    for id in ids {
-                        if s.commit_decode(id) {
-                            finished += 1;
-                        }
-                    }
+                    finished.extend(s.commit_decode_all(&ids));
                 }
                 StepPlan::Idle => break,
             }
         }
-        assert_eq!(finished, 2);
-        for id in ids {
-            let seq = s.seq(id).unwrap();
-            assert_eq!(seq.state, SeqState::Finished);
-            assert_eq!(seq.generated, 40);
+        assert_eq!(finished.len(), 2);
+        finished.sort_by_key(|f| f.id);
+        for (id, done) in ids.into_iter().zip(&finished) {
+            assert_eq!(done.id, id);
+            assert_eq!(done.generated, 40);
+            assert!(s.seq(id).is_none(), "finished records leave the table");
         }
+        assert!(
+            finished.iter().any(|f| f.preemptions > 0),
+            "the tight pool must have preempted"
+        );
         assert_eq!(s.blocks().used_blocks(), 0);
     }
 
@@ -635,16 +761,15 @@ mod tests {
         assert_eq!(ids, vec![a, b], "only two fit: 4 blocks each, 9 total");
         tight.commit_prefill(&ids);
         let late = tight.submit(Request::new(48, 64)); // fresh arrival at the tail
-                                                       // Decode under pressure until the newest running sequence is evicted.
+
+        // Decode under pressure until the newest running sequence is evicted.
         let mut guard = 0;
         while tight.seq(b).is_some_and(|s| s.preemptions == 0) {
             guard += 1;
             assert!(guard < 200, "no preemption under pressure");
             match tight.plan_step() {
                 StepPlan::Decode { ids } => {
-                    for id in ids {
-                        tight.commit_decode(id);
-                    }
+                    tight.commit_decode_all(&ids);
                 }
                 StepPlan::Prefill { ids, .. } => {
                     tight.commit_prefill(&ids);
@@ -674,7 +799,7 @@ mod tests {
         assert!(!s.cancel(a), "double cancel is a no-op");
         assert!(!s.has_work());
         assert_eq!(s.blocks().used_blocks(), 0);
-        s.blocks().check_invariants();
+        s.check_invariants();
 
         // Waiting sequences cancel too.
         let c = s.submit(Request::new(30, 8));
@@ -701,9 +826,7 @@ mod tests {
         while s.has_work() {
             match s.plan_step() {
                 StepPlan::Decode { ids } => {
-                    for id in ids {
-                        s.commit_decode(id);
-                    }
+                    s.commit_decode_all(&ids);
                 }
                 StepPlan::Prefill { ids, .. } => {
                     s.commit_prefill(&ids);
@@ -770,9 +893,7 @@ mod tests {
         for _ in 0..40 {
             match s.plan_step() {
                 StepPlan::Decode { ids } => {
-                    for id in ids {
-                        s.commit_decode(id);
-                    }
+                    s.commit_decode_all(&ids);
                 }
                 StepPlan::Prefill { ids, .. } => {
                     s.commit_prefill(&ids);
@@ -788,5 +909,107 @@ mod tests {
             }
         }
         assert!(saw_preempt, "expected a recorded preemption of {b}");
+    }
+
+    /// A decode plan reserves the next token's KV for every sequence in
+    /// it.
+    fn assert_decode_reserved(s: &Scheduler, plan: &StepPlan) {
+        if let StepPlan::Decode { ids } = plan {
+            for &id in ids {
+                let seq = &s.seqs[id];
+                assert!(
+                    seq.lease.blocks() >= s.blocks.blocks_for(seq.context_len() + 1),
+                    "decode plan left {id} without its next block"
+                );
+            }
+        }
+    }
+
+    /// Seeded random submit / plan / commit / cancel traffic under a KV
+    /// pool tight enough to preempt, checking every invariant of the
+    /// module docs after every operation, and exact-once completion at
+    /// the end.
+    #[test]
+    fn randomized_ops_keep_every_invariant() {
+        let mut rng = moe_tensor::rng::rng_from_seed(0x5c4e_d01e);
+        let mut total_preemptions = 0;
+        for _ in 0..40 {
+            let mut s = Scheduler::new(SchedulerConfig {
+                max_running: 1 + rng.next_below(6),
+                max_batched_tokens: 32 + rng.next_below(96),
+                block_tokens: 8,
+                total_blocks: 24,
+            });
+            let mut asked: Vec<usize> = Vec::new();
+            let mut finished: Vec<Option<FinishedSeq>> = Vec::new();
+            let mut cancelled: Vec<bool> = Vec::new();
+            let mut in_flight: Option<StepPlan> = None;
+            let commit = |s: &mut Scheduler, plan: StepPlan, finished: &mut Vec<Option<_>>| {
+                let done = match plan {
+                    StepPlan::Prefill { ids, .. } => s.commit_prefill(&ids),
+                    StepPlan::Decode { ids } => s.commit_decode_all(&ids),
+                    StepPlan::Idle => Vec::new(),
+                };
+                for f in done {
+                    let slot: &mut Option<FinishedSeq> = &mut finished[f.id as usize];
+                    assert!(slot.replace(f).is_none(), "{} finished twice", f.id);
+                }
+            };
+            for _ in 0..400 {
+                match rng.next_below(8) {
+                    0..=2 => {
+                        let max_new = 1 + rng.next_below(40);
+                        let id = s.submit(Request::new(1 + rng.next_below(80), max_new));
+                        assert_eq!(id as usize, asked.len());
+                        asked.push(max_new);
+                        finished.push(None);
+                        cancelled.push(false);
+                    }
+                    // One step in flight at a time, as the servers run it;
+                    // cancels may land while it is.
+                    3..=6 => match in_flight.take() {
+                        Some(plan) => commit(&mut s, plan, &mut finished),
+                        None => {
+                            let plan = s.plan_step();
+                            assert_decode_reserved(&s, &plan);
+                            in_flight = Some(plan);
+                        }
+                    },
+                    _ => {
+                        if !asked.is_empty() {
+                            let id = rng.next_below(asked.len());
+                            let live = s.seq(id as RequestId).is_some();
+                            assert_eq!(s.cancel(id as RequestId), live);
+                            cancelled[id] |= live;
+                        }
+                    }
+                }
+                s.check_invariants();
+            }
+            if let Some(plan) = in_flight.take() {
+                commit(&mut s, plan, &mut finished);
+            }
+            let mut guard = 0;
+            while s.has_work() {
+                guard += 1;
+                assert!(guard < 100_000, "scheduler livelock");
+                let plan = s.plan_step();
+                assert_decode_reserved(&s, &plan);
+                commit(&mut s, plan, &mut finished);
+                s.check_invariants();
+            }
+            assert_eq!(s.blocks().used_blocks(), 0);
+            for (id, max_new) in asked.iter().enumerate() {
+                match (&finished[id], cancelled[id]) {
+                    (Some(f), false) => {
+                        assert_eq!(f.generated, *max_new);
+                        total_preemptions += f.preemptions;
+                    }
+                    (None, true) => {}
+                    other => panic!("request {id}: {other:?}"),
+                }
+            }
+        }
+        assert!(total_preemptions > 0, "the pool never forced a preemption");
     }
 }

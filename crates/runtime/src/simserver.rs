@@ -2,8 +2,6 @@
 //! by a clock that advances by `moe-gpusim` step costs. This is the piece
 //! that stands in for "vLLM on H100" in every timing experiment.
 
-use std::collections::BTreeMap;
-
 use moe_gpusim::memory::footprint;
 use moe_gpusim::perfmodel::PerfModel;
 use moe_json::{FromJson, ToJson};
@@ -11,7 +9,8 @@ use moe_trace::{Category, Tracer, ENGINE_TRACK, REQUEST_TRACK_BASE, SCHED_TRACK}
 
 use crate::metrics::{mean, LatencySummary};
 use crate::request::{Request, RequestId, RequestOutput};
-use crate::scheduler::{SchedEvent, Scheduler, SchedulerConfig, StepPlan};
+use crate::scheduler::{FinishedSeq, SchedEvent, Scheduler, SchedulerConfig, StepPlan};
+use crate::slots::SlotTable;
 
 /// Aggregate results of one simulated serving run.
 #[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
@@ -99,6 +98,13 @@ pub fn scheduler_config_for(model: &PerfModel, max_seq: usize) -> SchedulerConfi
     }
 }
 
+/// A request delivered to the scheduler, until it finishes.
+#[derive(Debug)]
+struct Arrival {
+    request: Request,
+    first_token_s: Option<f64>,
+}
+
 /// The simulated server.
 #[derive(Debug)]
 pub struct SimServer {
@@ -107,10 +113,10 @@ pub struct SimServer {
     /// Requests not yet visible to the scheduler (future arrivals),
     /// sorted by arrival time.
     pending: Vec<(Request, RequestId)>,
-    /// External id -> scheduler id mapping is the identity (ids are
-    /// assigned here and passed through).
-    arrivals: BTreeMap<RequestId, Request>,
-    first_token: BTreeMap<RequestId, f64>,
+    /// Delivered, unfinished requests by id. External id -> scheduler
+    /// id mapping is the identity (ids are assigned here and passed
+    /// through).
+    arrivals: SlotTable<Arrival>,
     clock_s: f64,
     steps: usize,
     next_external: RequestId,
@@ -126,8 +132,7 @@ impl SimServer {
             model,
             scheduler: Scheduler::new(cfg),
             pending: Vec::new(),
-            arrivals: BTreeMap::new(),
-            first_token: BTreeMap::new(),
+            arrivals: SlotTable::new(),
             clock_s: 0.0,
             steps: 0,
             next_external: 0,
@@ -167,7 +172,13 @@ impl SimServer {
                     sched_id, ext_id,
                     "scheduler ids must track submission order"
                 );
-                self.arrivals.insert(sched_id, req);
+                self.arrivals.insert(
+                    sched_id,
+                    Arrival {
+                        request: req,
+                        first_token_s: None,
+                    },
+                );
             } else {
                 break;
             }
@@ -216,21 +227,18 @@ impl SimServer {
                     );
                 }
                 self.clock_s += dt;
-                for id in self.scheduler.commit_prefill(&ids) {
-                    self.finish(id);
-                }
                 for &id in &ids {
-                    self.first_token.entry(id).or_insert(self.clock_s);
+                    if let Some(arrival) = self.arrivals.get_mut(id) {
+                        arrival.first_token_s.get_or_insert(self.clock_s);
+                    }
+                }
+                for done in self.scheduler.commit_prefill(&ids) {
+                    self.finish(done);
                 }
             }
             StepPlan::Decode { ids } => {
                 let batch = ids.len();
-                let mean_ctx = (ids
-                    .iter()
-                    .map(|id| self.scheduler.seq(*id).expect("running").context_len()) // lint:allow(no-panic-in-lib) -- scheduler invariant: ids in the decode plan are running
-                    .sum::<usize>()
-                    / batch)
-                    .max(1);
+                let mean_ctx = (self.scheduler.running_context_tokens() / batch).max(1);
                 let dt = self.model.decode_step_time(batch, mean_ctx);
                 if self.tracer.is_enabled() {
                     let parts = self.model.forward_parts(
@@ -248,10 +256,8 @@ impl SimServer {
                     );
                 }
                 self.clock_s += dt;
-                for id in ids {
-                    if self.scheduler.commit_decode(id) {
-                        self.finish(id);
-                    }
+                for done in self.scheduler.commit_decode_all(&ids) {
+                    self.finish(done);
                 }
             }
             StepPlan::Idle => {
@@ -317,17 +323,17 @@ impl SimServer {
             .counter("waiting-seqs", t, self.scheduler.num_waiting() as f64);
     }
 
-    fn finish(&mut self, id: RequestId) {
-        let seq = self.scheduler.seq(id).expect("finished seq exists"); // lint:allow(no-panic-in-lib) -- scheduler invariant: finished ids remain in the table
-        let req = &self.arrivals[&id];
+    fn finish(&mut self, done: FinishedSeq) {
+        let id = done.id;
+        let arrival = self.arrivals.remove(id).expect("delivered request"); // lint:allow(no-panic-in-lib) -- every scheduled id was delivered through deliver_arrivals
         let output = RequestOutput {
             id,
-            prompt_len: req.prompt_len,
-            generated: seq.generated,
-            arrival_s: req.arrival_s,
-            first_token_s: *self.first_token.get(&id).unwrap_or(&self.clock_s),
+            prompt_len: arrival.request.prompt_len,
+            generated: done.generated,
+            arrival_s: arrival.request.arrival_s,
+            first_token_s: arrival.first_token_s.unwrap_or(self.clock_s),
             finish_s: self.clock_s,
-            preemptions: seq.preemptions,
+            preemptions: done.preemptions,
         };
         if self.tracer.is_enabled() {
             // Per-request lifecycle chain on the request's own lane:

@@ -482,3 +482,100 @@ fn streaming_percentiles_match_exact_within_histogram_error() {
         close(streamed, moe_runtime::metrics::percentile(&e2e, p), what);
     }
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A small controlled serving day, rendered to bytes: the serialized
+/// report (per-request rows retained) followed by the controller's
+/// decision log. Three phases (calm, burst, calm) of two tenants, one
+/// with shared prefixes routed by `PrefixAffinity`; the controller
+/// scales out onto spot slots that a seeded reclaim schedule takes
+/// back; requests time out at 2 s, so cancels land mid-step; and a
+/// 160-block KV pool (2560 tokens) is tight enough that the replica
+/// schedulers preempt sequences (184 times over the day).
+fn golden_controlled_day() -> String {
+    use moe_cluster::{
+        generate, ArrivalProcess, ClusterConfig, ClusterSim, FaultPlan, RequestTrace, RoutePolicy,
+        TenantSpec, WorkloadSpec,
+    };
+    use moe_ctrl::{Controller, ControllerConfig};
+    use moe_gpusim::perfmodel::PerfModel;
+    use moe_model::registry::olmoe_1b_7b;
+    use moe_runtime::simserver::scheduler_config_for;
+
+    let model = PerfModel::h100(olmoe_1b_7b());
+    let mut sched = scheduler_config_for(&model, 2048);
+    sched.total_blocks = 160;
+    let tenants = vec![
+        TenantSpec::uniform("web", 0.6, (128, 256), (16, 64)),
+        TenantSpec::uniform("chat", 0.4, (192, 320), (16, 64)).with_shared_prefixes(8, 128),
+    ];
+    let mut parts = Vec::new();
+    let mut offset = 0.0;
+    for (i, (qps, dur)) in [(60.0, 10.0), (240.0, 8.0), (60.0, 12.0)]
+        .into_iter()
+        .enumerate()
+    {
+        let spec = WorkloadSpec {
+            arrivals: ArrivalProcess::Poisson { rate_qps: qps },
+            num_requests: (qps * dur) as usize,
+            tenants: tenants.clone(),
+        };
+        parts.push(generate(&spec, 0x901d + i as u64).shifted(offset));
+        offset += dur;
+    }
+    let trace = RequestTrace::merge(parts);
+
+    let mut cc = ControllerConfig::for_slo(0.1, 0.2);
+    cc.window_ticks = 2;
+    cc.upscale_burn = 0.5;
+    cc.calm_ticks = 3;
+    cc.cooldown_ticks = 1;
+    cc.min_replicas = 2;
+    cc.max_replicas = 6;
+    cc.provision_delay_s = 1.0;
+    cc.migration_s = 1.0;
+    let ctl = Controller::new(cc, model.clone(), sched);
+    let log = ctl.log_handle();
+    let mut cfg = ClusterConfig {
+        replicas: 2,
+        policy: RoutePolicy::PrefixAffinity,
+        prefix_capacity: 4,
+        seed: 0x901d,
+        retain_outputs: true,
+        ..ClusterConfig::default()
+    };
+    cfg.router.ttft_timeout_s = 2.0;
+    let faults = FaultPlan::spot_preemptions(0x901d, &[2, 3, 4, 5], offset, 6.0);
+    let report = ClusterSim::new(&model, sched, cfg, faults, trace)
+        .with_controller(Box::new(ctl), 1.0)
+        .run(&mut moe_trace::Tracer::disabled());
+    let decisions = log.borrow().clone();
+    // The day must exercise what it pins.
+    assert!(report.preemptions > 0, "no spot preemption");
+    assert!(report.prefix_hits > 0, "no prefix hit");
+    assert!(report.timed_out > 0, "no timeout");
+    assert!(report.completed > 0 && !decisions.is_empty());
+    moe_json::to_string(&report) + &moe_json::to_string(&decisions)
+}
+
+/// Cross-commit golden pin. The other gates only check that a replay
+/// repeats within one build, so a change meant purely for speed could
+/// drift the simulation without failing them. This hash was computed
+/// before the scheduler moved to dense slot tables and must not move
+/// unless a change means to alter what is simulated — in which case
+/// the new value is pinned in the same change, with the reason.
+#[test]
+fn golden_controlled_day_matches_the_pinned_hash() {
+    let bytes = golden_controlled_day();
+    assert_eq!(
+        fnv1a(bytes.as_bytes()),
+        0x7807_e3b5_fdcc_1cfb,
+        "the controlled day's report or decision log changed"
+    );
+}
