@@ -651,7 +651,7 @@ impl ClusterSim {
                         REPLICA_TRACK_BASE.saturating_add(idx as u32),
                         "crash",
                         now,
-                        vec![("lost", failed.len().into())],
+                        || vec![("lost", failed.len().into())],
                     );
                     for a in failed {
                         self.requeue_after_crash(a.cluster_id, now);
@@ -664,7 +664,7 @@ impl ClusterSim {
                         REPLICA_TRACK_BASE.saturating_add(idx as u32),
                         "recover",
                         now,
-                        vec![],
+                        Vec::new,
                     );
                 }
                 FaultEvent::SlowdownStart { factor, .. } => {
@@ -673,7 +673,7 @@ impl ClusterSim {
                         REPLICA_TRACK_BASE.saturating_add(idx as u32),
                         "slowdown",
                         now,
-                        vec![("factor", factor.into())],
+                        || vec![("factor", factor.into())],
                     );
                 }
                 FaultEvent::SlowdownEnd { .. } => {
@@ -682,7 +682,7 @@ impl ClusterSim {
                         REPLICA_TRACK_BASE.saturating_add(idx as u32),
                         "full-speed",
                         now,
-                        vec![],
+                        Vec::new,
                     );
                 }
                 FaultEvent::Preempt { .. } => {
@@ -700,7 +700,7 @@ impl ClusterSim {
                         REPLICA_TRACK_BASE.saturating_add(idx as u32),
                         "preempt",
                         now,
-                        vec![("lost", failed.len().into())],
+                        || vec![("lost", failed.len().into())],
                     );
                     for a in failed {
                         self.requeue_after_crash(a.cluster_id, now);
@@ -727,7 +727,9 @@ impl ClusterSim {
         if lv.attempts > self.cfg.router.max_retries {
             self.live.remove(&cluster_id);
             self.dropped += 1;
-            self.trace_instant(ROUTER_TRACK, "drop", now, vec![("req", cluster_id.into())]);
+            self.trace_instant(ROUTER_TRACK, "drop", now, || {
+                vec![("req", cluster_id.into())]
+            });
             return;
         }
         // Exponential backoff keyed on the attempt that just failed.
@@ -741,12 +743,9 @@ impl ClusterSim {
             id: cluster_id,
             gen: 0,
         });
-        self.trace_instant(
-            ROUTER_TRACK,
-            "retry",
-            now,
-            vec![("req", cluster_id.into()), ("ready", ready.into())],
-        );
+        self.trace_instant(ROUTER_TRACK, "retry", now, || {
+            vec![("req", cluster_id.into()), ("ready", ready.into())]
+        });
     }
 
     /// Commit a replica's in-flight step. `gen` guards against a crash
@@ -889,7 +888,7 @@ impl ClusterSim {
         self.live.remove(&id);
         self.events += 1;
         self.timed_out += 1;
-        self.trace_instant(ROUTER_TRACK, "timeout", now, vec![("req", id.into())]);
+        self.trace_instant(ROUTER_TRACK, "timeout", now, || vec![("req", id.into())]);
     }
 
     /// Drain the router queue onto alive replicas, then enforce the
@@ -955,16 +954,13 @@ impl ClusterSim {
             }
             self.refresh_load(target);
             self.dirty.push(target);
-            self.trace_instant(
-                ROUTER_TRACK,
-                "dispatch",
-                now,
+            self.trace_instant(ROUTER_TRACK, "dispatch", now, || {
                 vec![
                     ("req", id.into()),
                     ("replica", target.into()),
                     ("attempt", attempts.into()),
-                ],
-            );
+                ]
+            });
         }
         // Admission control: bounce the newest arrivals over capacity.
         while self.queue.len().saturating_sub(self.queue_dead) > self.cfg.router.queue_capacity {
@@ -978,7 +974,7 @@ impl ClusterSim {
             {
                 self.live.remove(&id);
                 self.rejected += 1;
-                self.trace_instant(ROUTER_TRACK, "reject", now, vec![("req", id.into())]);
+                self.trace_instant(ROUTER_TRACK, "reject", now, || vec![("req", id.into())]);
             } else {
                 self.queue_dead = self.queue_dead.saturating_sub(1);
             }
@@ -1041,7 +1037,9 @@ impl ClusterSim {
         self.replicas[idx].recover();
         self.refresh_load(idx);
         self.dirty.push(idx);
-        self.trace_instant(CONTROL_TRACK, "ready", now, vec![("replica", idx.into())]);
+        self.trace_instant(CONTROL_TRACK, "ready", now, || {
+            vec![("replica", idx.into())]
+        });
     }
 
     /// A draining replica with no resident work retires: it stops
@@ -1057,7 +1055,9 @@ impl ClusterSim {
         self.meta[idx].retired_s = Some(now);
         self.cur_devices = self.cur_devices.saturating_sub(self.meta[idx].devices);
         self.refresh_load(idx);
-        self.trace_instant(CONTROL_TRACK, "retire", now, vec![("replica", idx.into())]);
+        self.trace_instant(CONTROL_TRACK, "retire", now, || {
+            vec![("replica", idx.into())]
+        });
     }
 
     /// Device-seconds accrued by the whole fleet up to `now`: each
@@ -1175,15 +1175,12 @@ impl ClusterSim {
                     let track = REPLICA_TRACK_BASE.saturating_add(idx as u32);
                     self.tracer.name_track(track, &format!("replica {idx}"));
                 }
-                self.trace_instant(
-                    CONTROL_TRACK,
-                    "provision",
-                    now,
+                self.trace_instant(CONTROL_TRACK, "provision", now, || {
                     vec![
                         ("replica", idx.into()),
                         ("generation", u64::from(spec.generation).into()),
-                    ],
-                );
+                    ]
+                });
             }
             ControlAction::DrainReplica {
                 replica,
@@ -1200,12 +1197,9 @@ impl ClusterSim {
                 self.reconfigs += 1;
                 self.dynamic_fleet = true;
                 self.refresh_load(replica);
-                self.trace_instant(
-                    CONTROL_TRACK,
-                    "drain",
-                    now,
-                    vec![("replica", replica.into())],
-                );
+                self.trace_instant(CONTROL_TRACK, "drain", now, || {
+                    vec![("replica", replica.into())]
+                });
                 self.maybe_retire(replica, now);
             }
             ControlAction::SetCanary {
@@ -1214,19 +1208,16 @@ impl ClusterSim {
             } => {
                 self.canary = Some((generation, fraction.clamp(0.0, 1.0)));
                 self.dynamic_fleet = true;
-                self.trace_instant(
-                    CONTROL_TRACK,
-                    "canary",
-                    now,
+                self.trace_instant(CONTROL_TRACK, "canary", now, || {
                     vec![
                         ("generation", u64::from(generation).into()),
                         ("fraction", fraction.into()),
-                    ],
-                );
+                    ]
+                });
             }
             ControlAction::ClearCanary => {
                 if self.canary.take().is_some() {
-                    self.trace_instant(CONTROL_TRACK, "canary-clear", now, vec![]);
+                    self.trace_instant(CONTROL_TRACK, "canary-clear", now, Vec::new);
                 }
             }
         }
@@ -1247,15 +1238,18 @@ impl ClusterSim {
         }
     }
 
+    /// Record an instant event; `args` runs only when tracing is on, so
+    /// untraced runs never allocate the argument list.
     fn trace_instant(
         &mut self,
         track: moe_trace::TrackId,
         name: &str,
         t_s: f64,
-        args: Vec<(&'static str, moe_trace::ArgValue)>,
+        args: impl FnOnce() -> Vec<(&'static str, moe_trace::ArgValue)>,
     ) {
         if self.tracer.is_enabled() {
-            self.tracer.instant(track, Category::Sched, name, t_s, args);
+            self.tracer
+                .instant(track, Category::Sched, name, t_s, args());
         }
     }
 
