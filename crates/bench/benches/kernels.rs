@@ -1,7 +1,7 @@
-//! Kernel microbenchmarks: GEMM, quantized GEMV, softmax, top-k routing.
+//! Kernel microbenchmarks: GEMM, the projection GEMM at the live model's
+//! shapes, quantized GEMV, softmax, top-k routing.
 
 use moe_bench::timing::Runner;
-use moe_tensor::matrix::gemv;
 use moe_tensor::ops::softmax_inplace;
 use moe_tensor::topk::top_k_softmax;
 use moe_tensor::{Matrix, Precision, QuantizedMatrix};
@@ -16,9 +16,27 @@ fn main() {
         r.bench(&format!("matmul/{n}"), || black_box(a.matmul(&b)));
     }
 
+    // `X · Wᵀ` at the shapes `tiny_test_model` runs: rows are a decode
+    // batch or prompt, n and k span the attention, expert (96-wide) and
+    // lm-head (256-wide) projections.
+    for &rows in &[1usize, 4, 16, 64] {
+        for &n in &[32usize, 64, 96, 256] {
+            for &k in &[64usize, 96] {
+                let x = Matrix::random(rows, k, 12, 1.0);
+                let w = Matrix::random(n, k, 13, 1.0);
+                r.bench(&format!("matmul_transposed/{rows}x{k}x{n}"), || {
+                    black_box(x.matmul_transposed(&w, 0.0))
+                });
+            }
+        }
+    }
+
     let w = Matrix::random(1024, 1024, 3, 1.0);
     let x: Vec<f32> = (0..1024).map(|i| (i as f32 * 0.01).sin()).collect();
-    r.bench("gemv_precision/f32", || black_box(gemv(&w, &x)));
+    let x_row = Matrix::from_vec(1, 1024, x.clone());
+    r.bench("gemv_precision/f32", || {
+        black_box(x_row.matmul_transposed(&w, -0.0))
+    });
     for p in [
         Precision::F16,
         Precision::Fp8E4M3,

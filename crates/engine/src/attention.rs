@@ -1,18 +1,24 @@
 //! Grouped-query attention with rotary position embeddings over a KV
 //! cache.
 //!
-//! The kernel processes a batch of rows belonging to *one* sequence at
-//! given absolute positions — a prefill passes all prompt positions, a
-//! decode step passes one. Causality is enforced by only attending to
-//! cached tokens at positions `<=` the query's position (the cache is
-//! append-only, so position equals cache index).
+//! The Q/K/V and output projections run batched over all rows of a
+//! forward; the cache writes, scores, softmax and value sums run per row.
+//! A prefill passes one sequence's prompt positions
+//! ([`attention_forward`]); a continuous-batching decode step passes one
+//! token each of independent sequences ([`attention_forward_multi`]).
+//! Causality is enforced by only attending to cached tokens at positions
+//! `<=` the query's position (the cache is append-only, so position
+//! equals cache index).
 
-use moe_tensor::matrix::{dot, gemv};
-use moe_tensor::ops::{rope_inplace, softmax_inplace};
+use moe_tensor::ops::{rope_angles, rope_heads_inplace, softmax_inplace};
 use moe_tensor::Matrix;
 
 use crate::kvcache::KvStore;
 use crate::weights::LayerWeights;
+
+/// Cached keys scored together: their dot products are independent
+/// accumulators, so one pass over the head dimension serves them all.
+const KEY_BLOCK: usize = 32;
 
 /// Static attention geometry, derived from the model config.
 #[derive(Debug, Clone, Copy)]
@@ -38,63 +44,122 @@ impl AttentionParams {
     }
 }
 
-/// Attention for a single (already-normed) row at absolute position `pos`:
-/// project QKV, apply RoPE, append to the cache, attend causally, project
-/// out. Returns the output row.
-pub fn attention_row(
+/// Queries, keys and values of every row, with RoPE applied at each
+/// row's position.
+struct Projected {
+    q: Matrix,
+    k: Matrix,
+    v: Matrix,
+}
+
+fn project(
     params: &AttentionParams,
     w: &LayerWeights,
-    x_row: &[f32],
-    pos: usize,
-    kv: &mut dyn KvStore,
-    layer: usize,
-) -> Vec<f32> {
-    debug_assert_eq!(kv.kv_dim(), params.kv_dim(), "cache width mismatch");
+    x: &Matrix,
+    positions: &[usize],
+) -> Projected {
+    let mut q = x.matmul_transposed(&w.wq, -0.0);
+    let mut k = x.matmul_transposed(&w.wk, -0.0);
+    let v = x.matmul_transposed(&w.wv, -0.0);
+    for (r, &pos) in positions.iter().enumerate() {
+        let angles = rope_angles(pos, params.head_dim, params.rope_theta);
+        rope_heads_inplace(q.row_mut(r), &angles);
+        rope_heads_inplace(k.row_mut(r), &angles);
+    }
+    Projected { q, k, v }
+}
+
+/// One layer's cached keys and values for positions `0..len`, copied out
+/// of the store so the score and value loops read them contiguously.
+/// Keys are transposed (`k_t[c * stride + t]` is element `c` of key `t`;
+/// `stride` rounds `len` up to whole key blocks, and lanes past `len`
+/// hold stale values whose scores are never stored). Values stay
+/// row-major (`v[t * kv_dim + c]`). The buffers are reused across rows.
+#[derive(Default)]
+struct CachedKv {
+    len: usize,
+    stride: usize,
+    k_t: Vec<f32>,
+    v: Vec<f32>,
+}
+
+impl CachedKv {
+    fn read(&mut self, kv: &dyn KvStore, layer: usize, len: usize) {
+        let kv_dim = kv.kv_dim();
+        self.len = len;
+        self.stride = len.next_multiple_of(KEY_BLOCK);
+        self.k_t.resize(kv_dim * self.stride, 0.0);
+        self.v.clear();
+        for t in 0..len {
+            for (c, &k) in kv.key(layer, t).iter().enumerate() {
+                self.k_t[c * self.stride + t] = k;
+            }
+            self.v.extend_from_slice(kv.value(layer, t));
+        }
+    }
+}
+
+/// Attend one row's queries `q` (`q_dim` wide) causally over the first
+/// `ctx` cached positions, accumulating each head's context into the
+/// zeroed `out` (`q_dim` wide). `scores` is scratch.
+fn attend(
+    params: &AttentionParams,
+    q: &[f32],
+    cache: &CachedKv,
+    ctx: usize,
+    scores: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    debug_assert!(ctx <= cache.len);
     let hd = params.head_dim;
     let scale = 1.0 / (hd as f32).sqrt();
-
-    let mut q = gemv(&w.wq, x_row);
-    let mut k = gemv(&w.wk, x_row);
-    let v = gemv(&w.wv, x_row);
-
-    for head in 0..params.num_heads {
-        rope_inplace(&mut q[head * hd..(head + 1) * hd], pos, params.rope_theta);
-    }
-    for head in 0..params.num_kv_heads {
-        rope_inplace(&mut k[head * hd..(head + 1) * hd], pos, params.rope_theta);
-    }
-    kv.write(layer, pos, &k, &v);
-
-    // Attend: each query head against its KV-head group, over all cached
-    // positions <= pos.
-    let ctx = pos + 1;
-    let mut attn_acc = vec![0.0f32; params.q_dim()];
     let group = params.group_size();
-    let mut scores = vec![0.0f32; ctx];
-    for head in 0..params.num_heads {
-        let kv_head = head / group;
-        let q_h = &q[head * hd..(head + 1) * hd];
-        for (t, s) in scores.iter_mut().enumerate() {
-            let k_t = &kv.key(layer, t)[kv_head * hd..(kv_head + 1) * hd];
-            *s = dot(q_h, k_t) * scale;
+    let stride = cache.stride;
+
+    // scores[head * ctx + t]: each head's query against cached key t,
+    // summed over the head dimension in order, a key block at a time.
+    scores.clear();
+    scores.resize(params.num_heads * ctx, 0.0);
+    for (head, head_scores) in scores.chunks_exact_mut(ctx).enumerate() {
+        let q_h = &q[head * hd..][..hd];
+        let k_t = &cache.k_t[(head / group) * hd * stride..][..hd * stride];
+        for (t0, block) in (0..)
+            .step_by(KEY_BLOCK)
+            .zip(head_scores.chunks_mut(KEY_BLOCK))
+        {
+            let mut acc = [-0.0f32; KEY_BLOCK];
+            for (&qv, k_d) in q_h.iter().zip(k_t.chunks_exact(stride)) {
+                for (a, &k) in acc.iter_mut().zip(&k_d[t0..t0 + KEY_BLOCK]) {
+                    *a += qv * k;
+                }
+            }
+            for (s, a) in block.iter_mut().zip(acc) {
+                *s = a * scale;
+            }
         }
-        softmax_inplace(&mut scores);
-        let acc = &mut attn_acc[head * hd..(head + 1) * hd];
-        for (t, &s) in scores.iter().enumerate() {
-            let v_t = &kv.value(layer, t)[kv_head * hd..(kv_head + 1) * hd];
-            for (a, vv) in acc.iter_mut().zip(v_t) {
+        softmax_inplace(head_scores);
+    }
+
+    let kv_dim = params.kv_dim();
+    for (t, v_t) in cache.v.chunks_exact(kv_dim).take(ctx).enumerate() {
+        for (head, acc) in out.chunks_exact_mut(hd).enumerate() {
+            let s = scores[head * ctx + t];
+            let v_h = &v_t[(head / group) * hd..][..hd];
+            for (a, vv) in acc.iter_mut().zip(v_h) {
                 *a += s * vv;
             }
         }
     }
-
-    gemv(&w.wo, &attn_acc)
 }
 
 /// Run attention for `x` (`[T x hidden]`, already normed) at absolute
 /// `positions`, reading/appending the sequence's KV cache for `layer`.
 /// Returns the `[T x hidden]` attention output (before the output
 /// projection's residual add).
+///
+/// Every row's key and value are appended before any row attends: row
+/// `r` reads only positions `<= positions[r]`, so it sees exactly what
+/// appending and attending row by row would show it.
 pub fn attention_forward(
     params: &AttentionParams,
     w: &LayerWeights,
@@ -104,12 +169,26 @@ pub fn attention_forward(
     layer: usize,
 ) -> Matrix {
     assert_eq!(x.rows(), positions.len(), "one position per row");
-    let mut out = Matrix::zeros(x.rows(), w.wo.rows());
-    for (row, &pos) in positions.iter().enumerate() {
-        let o = attention_row(params, w, x.row(row), pos, kv, layer);
-        out.row_mut(row).copy_from_slice(&o);
+    debug_assert_eq!(kv.kv_dim(), params.kv_dim(), "cache width mismatch");
+    let p = project(params, w, x, positions);
+    for (r, &pos) in positions.iter().enumerate() {
+        kv.write(layer, pos, p.k.row(r), p.v.row(r));
     }
-    out
+    let mut cache = CachedKv::default();
+    cache.read(kv, layer, positions.iter().max().map_or(0, |&p| p + 1));
+    let mut scores = Vec::new();
+    let mut ctx = Matrix::zeros(x.rows(), params.q_dim());
+    for (r, &pos) in positions.iter().enumerate() {
+        attend(
+            params,
+            p.q.row(r),
+            &cache,
+            pos + 1,
+            &mut scores,
+            ctx.row_mut(r),
+        );
+    }
+    ctx.matmul_transposed(&w.wo, -0.0)
 }
 
 /// Batched attention across *independent sequences*: row `r` of `x` is one
@@ -125,12 +204,24 @@ pub fn attention_forward_multi(
 ) -> Matrix {
     assert_eq!(x.rows(), positions.len(), "one position per row");
     assert_eq!(x.rows(), kvs.len(), "one KV cache per row");
-    let mut out = Matrix::zeros(x.rows(), w.wo.rows());
-    for (row, (&pos, kv)) in positions.iter().zip(kvs.iter_mut()).enumerate() {
-        let o = attention_row(params, w, x.row(row), pos, *kv, layer);
-        out.row_mut(row).copy_from_slice(&o);
+    let p = project(params, w, x, positions);
+    let mut cache = CachedKv::default();
+    let mut scores = Vec::new();
+    let mut ctx = Matrix::zeros(x.rows(), params.q_dim());
+    for (r, (&pos, kv)) in positions.iter().zip(kvs.iter_mut()).enumerate() {
+        debug_assert_eq!(kv.kv_dim(), params.kv_dim(), "cache width mismatch");
+        kv.write(layer, pos, p.k.row(r), p.v.row(r));
+        cache.read(*kv, layer, pos + 1);
+        attend(
+            params,
+            p.q.row(r),
+            &cache,
+            pos + 1,
+            &mut scores,
+            ctx.row_mut(r),
+        );
     }
-    out
+    ctx.matmul_transposed(&w.wo, -0.0)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use moe_tensor::Matrix;
 
 use crate::attention::{attention_forward, attention_forward_multi, AttentionParams};
 use crate::kvcache::{KvStore, PagedKv};
-use crate::moe::{expert_forward_row, moe_forward_fused, moe_forward_unfused};
+use crate::moe::{expert_forward, moe_forward_fused, moe_forward_unfused};
 use crate::stats::ActivationStats;
 use crate::trace::RoutingTrace;
 use crate::weights::ModelWeights;
@@ -240,12 +240,7 @@ impl MoeTransformer {
                     .dense_ffn
                     .as_ref()
                     .expect("dense layer has a dense FFN"); // lint:allow(no-panic-in-lib) -- layer kind checked by the surrounding match
-                let mut out = Matrix::zeros(normed.rows(), h);
-                for r in 0..normed.rows() {
-                    let y = expert_forward_row(w, normed.row(r));
-                    out.row_mut(r).copy_from_slice(&y);
-                }
-                out
+                expert_forward(w, &normed, -0.0)
             };
             for r in 0..x.rows() {
                 x.scatter_add_row(r, ffn.row(r), 1.0);
@@ -258,7 +253,7 @@ impl MoeTransformer {
             self.config.norm_eps,
             &mut normed,
         );
-        normed.matmul_transposed(&self.weights.lm_head)
+        normed.matmul_transposed(&self.weights.lm_head, 0.0)
     }
 }
 

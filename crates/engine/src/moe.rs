@@ -3,8 +3,9 @@
 //! Two dispatch strategies implement the same mathematics:
 //!
 //! * [`moe_forward_unfused`] — the naive path: for each token, run each of
-//!   its top-k experts as separate GEMVs (this is what "without Fused MoE"
-//!   measures in Fig. 14: per-expert kernels plus scatter/gather).
+//!   its top-k experts as a separate one-row FFN (this is what "without
+//!   Fused MoE" measures in Fig. 14: per-expert kernels plus
+//!   scatter/gather).
 //! * [`moe_forward_fused`] — the fused path: tokens are sorted by expert,
 //!   each expert processes its whole group as one batched GEMM, and
 //!   results scatter-add back. On a GPU this is the single fused
@@ -13,10 +14,13 @@
 //!
 //! Routing follows the model's [`RouterKind`]: Mixtral-style
 //! top-k-then-softmax or DeepSeek-style softmax-then-top-k.
+//!
+//! Both paths fork across experts or tokens only when the layer's
+//! multiply-adds reach [`moe_par::FORK_MIN_WORK`]; below that a fork
+//! costs more than the arithmetic it spreads.
 
 use moe_model::{MoeConfig, RouterKind};
 use moe_par as par;
-use moe_tensor::matrix::gemv;
 use moe_tensor::ops::swiglu_inplace;
 use moe_tensor::topk::{softmax_then_top_k, top_k_softmax, TopK};
 use moe_tensor::Matrix;
@@ -34,41 +38,47 @@ pub struct Routing {
 
 /// Route every row of `x` through the layer's router.
 pub fn route(w: &LayerWeights, moe: &MoeConfig, x: &Matrix) -> Vec<Routing> {
+    let mut logits = x.matmul_transposed(&w.router, -0.0);
     (0..x.rows())
         .map(|r| {
-            let mut logits = gemv(&w.router, x.row(r));
+            let logits = logits.row_mut(r);
             for (l, b) in logits.iter_mut().zip(&w.router_bias) {
                 *l += b;
             }
             let experts = match moe.router {
-                RouterKind::TopKSoftmax => top_k_softmax(&logits, moe.top_k),
-                RouterKind::SoftmaxTopK => softmax_then_top_k(&logits, moe.top_k),
+                RouterKind::TopKSoftmax => top_k_softmax(logits, moe.top_k),
+                RouterKind::SoftmaxTopK => softmax_then_top_k(logits, moe.top_k),
             };
             Routing { experts }
         })
         .collect()
 }
 
-/// One expert's SwiGLU FFN applied to a single row.
-pub fn expert_forward_row(e: &ExpertWeights, x: &[f32]) -> Vec<f32> {
-    let mut gate = gemv(&e.gate, x);
-    let up = gemv(&e.up, x);
-    swiglu_inplace(&mut gate, &up);
-    gemv(&e.down, &gate)
+/// One expert's SwiGLU FFN, `down(silu(gate(x)) * up(x))`, over a batch
+/// of rows. Every projection output starts its sum at `start` (see
+/// [`Matrix::matmul_transposed`]).
+pub fn expert_forward(e: &ExpertWeights, x: &Matrix, start: f32) -> Matrix {
+    let mut gate = x.matmul_transposed(&e.gate, start);
+    let up = x.matmul_transposed(&e.up, start);
+    for r in 0..gate.rows() {
+        swiglu_inplace(gate.row_mut(r), up.row(r));
+    }
+    gate.matmul_transposed(&e.down, start)
 }
 
-/// One expert's SwiGLU FFN applied to a gathered batch of rows.
-pub fn expert_forward_batch(e: &ExpertWeights, x: &Matrix) -> Matrix {
-    let mut gate = x.matmul_transposed(&e.gate);
-    let up = x.matmul_transposed(&e.up);
-    for r in 0..gate.rows() {
-        // Split borrows: swiglu row by row.
-        let up_row: &[f32] = up.row(r);
-        // SAFETY-free workaround: copy the up row is avoided by indexing.
-        let gate_row = gate.row_mut(r);
-        swiglu_inplace(gate_row, up_row);
+/// Multiply-adds of `rows` token-expert pairs through `e`'s FFN.
+fn expert_work(e: &ExpertWeights, rows: usize) -> usize {
+    rows * 3 * e.gate.len()
+}
+
+/// `(0..n).map(body)`, forked across `moe-par` workers only when `work`
+/// multiply-adds repay the fork.
+fn map_maybe_par<R: Send>(n: usize, work: usize, body: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if work < par::FORK_MIN_WORK {
+        (0..n).map(body).collect()
+    } else {
+        par::map_collect(n, body)
     }
-    gate.matmul_transposed(&e.down)
 }
 
 /// Unfused dispatch: per-token, per-expert GEMVs.
@@ -82,18 +92,28 @@ pub fn moe_forward_unfused(
 ) -> Matrix {
     let routing = route(w, moe, x);
     record(stats, trace, layer, &routing);
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    let rows: Vec<Vec<f32>> = par::map_collect(x.rows(), |r| {
+    let work = routing
+        .iter()
+        .flat_map(|r| &r.experts.indices)
+        .map(|&e| expert_work(&w.experts[e], 1))
+        .sum();
+    let rows: Vec<Vec<f32>> = map_maybe_par(x.rows(), work, |r| {
+        let x_row = x.gather_rows(&[r]);
         let mut acc = vec![0.0f32; x.cols()];
-        for (i, &e) in routing[r].experts.indices.iter().enumerate() {
-            let weight = routing[r].experts.values[i];
-            let y = expert_forward_row(&w.experts[e], x.row(r));
-            for (a, v) in acc.iter_mut().zip(&y) {
+        for (&e, &weight) in routing[r]
+            .experts
+            .indices
+            .iter()
+            .zip(&routing[r].experts.values)
+        {
+            let y = expert_forward(&w.experts[e], &x_row, -0.0);
+            for (a, v) in acc.iter_mut().zip(y.as_slice()) {
                 *a += weight * v;
             }
         }
         acc
     });
+    let mut out = Matrix::zeros(x.rows(), x.cols());
     for (r, row) in rows.into_iter().enumerate() {
         out.row_mut(r).copy_from_slice(&row);
     }
@@ -122,16 +142,22 @@ pub fn moe_forward_fused(
         }
     }
 
-    // Each active expert processes its group as one batch (in parallel
-    // across experts — the grouped-GEMM analogue).
-    let results: Vec<(usize, Matrix)> = par::map_collect(groups.len(), |e| {
+    // Each active expert processes its group as one batch (across
+    // experts in parallel when the work repays it — the grouped-GEMM
+    // analogue).
+    let work = groups
+        .iter()
+        .zip(&w.experts)
+        .map(|(g, e)| expert_work(e, g.len()))
+        .sum();
+    let results: Vec<(usize, Matrix)> = map_maybe_par(groups.len(), work, |e| {
         let g = &groups[e];
         if g.is_empty() {
             return None;
         }
         let idx: Vec<usize> = g.iter().map(|(r, _)| *r).collect();
         let gathered = x.gather_rows(&idx);
-        Some((e, expert_forward_batch(&w.experts[e], &gathered)))
+        Some((e, expert_forward(&w.experts[e], &gathered, 0.0)))
     })
     .into_iter()
     .flatten()
@@ -149,9 +175,9 @@ pub fn moe_forward_fused(
 
 fn add_shared_experts(w: &LayerWeights, x: &Matrix, out: &mut Matrix) {
     for shared in &w.shared_experts {
+        let y = expert_forward(shared, x, -0.0);
         for r in 0..x.rows() {
-            let y = expert_forward_row(shared, x.row(r));
-            out.scatter_add_row(r, &y, 1.0);
+            out.scatter_add_row(r, y.row(r), 1.0);
         }
     }
 }
@@ -229,12 +255,10 @@ mod tests {
     fn expert_batch_equals_row_by_row() {
         let (_, w) = setup(4, 1);
         let x = Matrix::random(7, 64, 4, 0.5);
-        let batch = expert_forward_batch(&w.experts[0], &x);
+        let batch = expert_forward(&w.experts[0], &x, 0.0);
         for r in 0..7 {
-            let row = expert_forward_row(&w.experts[0], x.row(r));
-            for (a, b) in batch.row(r).iter().zip(&row) {
-                assert!((a - b).abs() < 1e-5);
-            }
+            let row = expert_forward(&w.experts[0], &x.gather_rows(&[r]), 0.0);
+            assert_eq!(batch.row(r), row.as_slice());
         }
     }
 
@@ -266,8 +290,8 @@ mod tests {
         let x = Matrix::random(6, 64, 7, 0.5);
         let routing = route(&w, &moe, &x);
         for (r, routed) in routing.iter().enumerate() {
-            let logits = gemv(&w.router, x.row(r));
-            let best = moe_tensor::ops::argmax(&logits);
+            let logits = x.gather_rows(&[r]).matmul_transposed(&w.router, -0.0);
+            let best = moe_tensor::ops::argmax(logits.as_slice());
             assert_eq!(routed.experts.indices, vec![best]);
             assert!((routed.experts.values[0] - 1.0).abs() < 1e-6);
         }

@@ -5,7 +5,7 @@
 //!
 //! This crate deliberately implements a *small* surface: row-major 2-D
 //! matrices over `f32`, the handful of kernels a decoder-only transformer
-//! needs (GEMM, GEMV, softmax, RMSNorm, SiLU/GeLU, RoPE, top-k selection),
+//! needs (GEMM, softmax, RMSNorm, SiLU/GeLU, RoPE, top-k selection),
 //! and the reduced-precision weight formats the paper's quantization study
 //! exercises (FP16, BF16, FP8-E4M3, block-wise INT8/INT4).
 //!
@@ -14,11 +14,11 @@
 //! * **Determinism** — every random initializer takes an explicit seed and
 //!   uses a counter-based ChaCha stream ([`rng`]), so functional experiments
 //!   are bit-reproducible across thread counts.
-//! * **Parallelism** — GEMMs parallelize over output-row blocks with the
-//!   contiguous-run helper in `moe_par` (the workspace's deterministic
-//!   fork/join executor); sequential kernels are used below a size
-//!   threshold to avoid fork/join overhead on the tiny matrices the
-//!   down-scaled models use.
+//! * **Bit-exact kernels** — the GEMMs vectorize across independent
+//!   outputs and keep each output's ascending-`k` accumulation order, so
+//!   any blocking gives the same bits as the naive loop (see [`matrix`]).
+//!   They run on the calling thread: the matrices the down-scaled models
+//!   multiply are too small to repay a fork.
 //! * **No `unsafe`** — the kernels stay within safe Rust; performance on the
 //!   down-scaled models is more than sufficient and data-race freedom is
 //!   guaranteed by construction.

@@ -1,19 +1,33 @@
-//! Row-major 2-D matrix over `f32` and the GEMM/GEMV kernels.
+//! Row-major 2-D matrix over `f32` and the GEMM kernels.
 //!
-//! The matmul kernels parallelize over blocks of output rows with the
-//! scoped-thread helper in [`moe_par`] and use an inner loop ordered for
-//! sequential access of both operands (`C[i,:] += A[i,k] * B[k,:]`), which
-//! the compiler auto-vectorizes. Matrices smaller than [`PAR_THRESHOLD`]
-//! multiply sequentially to avoid fork/join overhead on the down-scaled
-//! models used in functional tests.
+//! Every kernel vectorizes across *independent outputs*, never across the
+//! reduction index `k`. Each output element is one accumulator that
+//! starts at a value fixed by the call site and adds its products in
+//! ascending `k`, exactly as a scalar `acc += a * b` loop would. Rust
+//! never reassociates or contracts float operations, so the compiler is
+//! free to pack many such accumulators into one SIMD register but cannot
+//! change any result: outputs are bit-identical to the naive loop for any
+//! blocking. The kernels run on the calling thread; callers that fork do
+//! so at a coarser grain.
+//!
+//! * [`Matrix::matmul_transposed`] (`X · Wᵀ`, the shape of every
+//!   projection, since weights are stored output-major) copies blocks of
+//!   eight activation rows into `k`-major scratch (a shorter tail takes a
+//!   four- or one-row block) and sweeps the weight rows four at a time
+//!   (eight for a single row), so each pass keeps up to 4 x 8
+//!   independent accumulators live. The start value is a parameter
+//!   because call sites differ: `-0.0` is the identity of
+//!   `Iterator::sum`, `0.0` that of a zeroed buffer, and the two differ
+//!   on a column whose products are all `-0.0`.
+//! * [`matmul_into`] (`A · B`) accumulates `C[i,:] += A[i,k] * B[k,:]`,
+//!   which is already contiguous across outputs.
 
 use moe_json::{FromJson, ToJson};
 
 use crate::rng;
-use moe_par as par;
 
-/// Minimum number of output elements before a GEMM goes parallel.
-pub const PAR_THRESHOLD: usize = 64 * 64;
+/// Activation rows per full block of [`Matrix::matmul_transposed`].
+const ROW_BLOCK: usize = 8;
 
 /// A dense row-major matrix of `f32`.
 #[derive(Debug, Clone, PartialEq, ToJson, FromJson)]
@@ -165,37 +179,34 @@ impl Matrix {
         out
     }
 
-    /// `self @ other.T` — GEMM against a transposed right operand. This is
-    /// the natural layout for attention scores (`Q @ K^T`) and for weight
-    /// matrices stored output-major.
-    pub fn matmul_transposed(&self, other: &Matrix) -> Matrix {
+    /// `self · wᵀ`, the projection GEMM: `w` is `n x k`, one row per
+    /// output. Every output element starts at `start` and adds its `k`
+    /// products in ascending order (see the module docs). Panics on a
+    /// shape mismatch.
+    pub fn matmul_transposed(&self, w: &Matrix, start: f32) -> Matrix {
         assert_eq!(
-            self.cols, other.cols,
+            self.cols, w.cols,
             "matmul_transposed shape mismatch: {}x{} @ ({}x{})^T",
-            self.rows, self.cols, other.rows, other.cols
+            self.rows, self.cols, w.rows, w.cols
         );
-        let n = other.rows;
-        let k = self.cols;
+        let (k, n) = (self.cols, w.rows);
         let mut out = Matrix::zeros(self.rows, n);
-        let work = self.rows * n;
-        let body = |i: usize, out_row: &mut [f32]| {
-            let a_row = self.row(i);
-            for (j, o) in out_row.iter_mut().enumerate() {
-                let b_row = other.row(j);
-                let mut acc = 0.0f32;
-                for kk in 0..k {
-                    acc += a_row[kk] * b_row[kk];
-                }
-                *o = acc;
-            }
-        };
-        if work >= PAR_THRESHOLD {
-            par::for_each_chunk_mut(&mut out.data, n, body);
-        } else {
-            out.data
-                .chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, c)| body(i, c));
+        if k == 0 || n == 0 {
+            out.data.fill(start);
+            return out;
+        }
+        let mut xt = vec![0.0f32; k * ROW_BLOCK];
+        let mut done = 0;
+        while done < self.rows {
+            let x = &self.data[done * k..];
+            let out_rows = &mut out.data[done * n..];
+            // Blocks of eight rows; a short tail takes the narrowest block
+            // that holds it, so few lanes compute discarded outputs.
+            done += match self.rows - done {
+                5.. => row_block::<ROW_BLOCK, 4>(x, w, start, &mut xt, out_rows),
+                2..=4 => row_block::<4, 4>(x, w, start, &mut xt, out_rows),
+                _ => row_block::<1, 8>(x, w, start, &mut xt, out_rows),
+            };
         }
         out
     }
@@ -217,7 +228,7 @@ impl Matrix {
 }
 
 /// GEMM into a pre-allocated output (`out = a @ b`), reusing the output
-/// buffer to avoid allocation in the decode loop.
+/// buffer.
 pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "matmul shape mismatch");
     assert_eq!(
@@ -226,11 +237,9 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         "output shape mismatch"
     );
     let n = b.cols;
-    let k = a.cols;
-    let body = |i: usize, out_row: &mut [f32]| {
+    for (i, out_row) in out.data.chunks_mut(n).enumerate() {
         out_row.fill(0.0);
-        let a_row = a.row(i);
-        for (kk, &aik) in a_row.iter().enumerate().take(k) {
+        for (kk, &aik) in a.row(i).iter().enumerate() {
             // Bit-pattern test for ±0.0: skipping a zero row of A is an
             // exact sparsity shortcut, not a tolerance decision, so it must
             // not be widened to an epsilon (and `== 0.0` trips the
@@ -243,46 +252,76 @@ pub fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
                 *o += aik * bv;
             }
         }
-    };
-    if a.rows * n >= PAR_THRESHOLD {
-        par::for_each_chunk_mut(&mut out.data, n, body);
-    } else {
-        out.data
-            .chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, c)| body(i, c));
     }
 }
 
-/// GEMV: `y = W @ x` where `W` is `m x k` and `x` has length `k`.
-pub fn gemv(w: &Matrix, x: &[f32]) -> Vec<f32> {
-    assert_eq!(w.cols, x.len(), "gemv shape mismatch");
-    let mut y = vec![0.0f32; w.rows];
-    if w.rows * w.cols >= PAR_THRESHOLD {
-        par::for_each_chunk_mut(&mut y, 1, |i, yi| {
-            yi[0] = dot(w.row(i), x);
-        });
-    } else {
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = dot(w.row(i), x);
+/// `out = start + x · wᵀ` for the first `min(R, rows)` rows of `x`,
+/// returning how many rows it did. The rows are copied `k`-major into
+/// `xt` (`xt[kk * R + r]` is row `r`'s element `kk`; lanes past the last
+/// row hold stale values whose outputs are never stored), then the weight
+/// rows are swept `C` at a time.
+fn row_block<const R: usize, const C: usize>(
+    x: &[f32],
+    w: &Matrix,
+    start: f32,
+    xt: &mut [f32],
+    out: &mut [f32],
+) -> usize {
+    let (k, n) = (w.cols, w.rows);
+    let rows = (x.len() / k).min(R);
+    let xt = &mut xt[..k * R];
+    for (r, x_row) in x.chunks_exact(k).take(rows).enumerate() {
+        for (kk, &v) in x_row.iter().enumerate() {
+            xt[kk * R + r] = v;
         }
     }
-    y
+    let out = &mut out[..rows * n];
+    let mut j = 0;
+    while j + C <= n {
+        let panel: [&[f32]; C] = std::array::from_fn(|c| w.row(j + c));
+        store_block(out, n, j, &dot_block::<R, C>(xt, panel, start));
+        j += C;
+    }
+    for j in j..n {
+        store_block(out, n, j, &dot_block::<R, 1>(xt, [w.row(j)], start));
+    }
+    rows
 }
 
-/// Dot product of two equal-length slices.
-#[inline]
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+/// Dot products of a `k`-major row block against `C` weight rows:
+/// `acc[c][r] = start + Σ xt[kk][r] * w[c][kk]`, summed in ascending
+/// `kk`. The `C x R` accumulators are independent, which is what lets
+/// them share SIMD registers.
+#[inline(always)]
+fn dot_block<const R: usize, const C: usize>(
+    xt: &[f32],
+    w: [&[f32]; C],
+    start: f32,
+) -> [[f32; R]; C] {
+    let mut acc = [[start; R]; C];
+    for (kk, x) in xt.chunks_exact(R).enumerate() {
+        for (a, w_row) in acc.iter_mut().zip(&w) {
+            let wv = w_row[kk];
+            for (a, &xv) in a.iter_mut().zip(x) {
+                *a += xv * wv;
+            }
+        }
+    }
+    acc
 }
 
-/// `y += alpha * x` (AXPY).
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
+/// Store a block's accumulators into columns `j..j + C` of its rows.
+#[inline(always)]
+fn store_block<const R: usize, const C: usize>(
+    out_rows: &mut [f32],
+    n: usize,
+    j: usize,
+    acc: &[[f32; R]; C],
+) {
+    for (r, out_row) in out_rows.chunks_exact_mut(n).enumerate() {
+        for (c, a) in acc.iter().enumerate() {
+            out_row[j + c] = a[r];
+        }
     }
 }
 
@@ -333,20 +372,84 @@ mod tests {
     fn matmul_transposed_matches_explicit_transpose() {
         let a = Matrix::random(33, 17, 4, 1.0);
         let b = Matrix::random(29, 17, 5, 1.0);
-        let direct = a.matmul_transposed(&b);
+        let direct = a.matmul_transposed(&b, 0.0);
         let via_t = a.matmul(&b.transpose());
         assert!(direct.max_abs_diff(&via_t) < 1e-4);
     }
 
-    #[test]
-    fn gemv_matches_matmul() {
-        let w = Matrix::random(40, 30, 6, 1.0);
-        let x = Matrix::random(30, 1, 7, 1.0);
-        let y = gemv(&w, x.as_slice());
-        let y2 = w.matmul(&x);
-        for (a, b) in y.iter().zip(y2.as_slice()) {
-            assert!((a - b).abs() < 1e-5);
+    /// The sequential `acc += x * w` loop the kernel must reproduce bit
+    /// for bit.
+    fn naive_transposed(x: &Matrix, w: &Matrix, start: f32) -> Vec<f32> {
+        let mut out = Vec::with_capacity(x.rows() * w.rows());
+        for i in 0..x.rows() {
+            for j in 0..w.rows() {
+                let mut acc = start;
+                for k in 0..x.cols() {
+                    acc += x.get(i, k) * w.get(j, k);
+                }
+                out.push(acc);
+            }
         }
+        out
+    }
+
+    #[test]
+    fn randomized_matmul_transposed_is_bit_identical_to_the_sequential_loop() {
+        let mut rng = crate::rng::rng_from_seed(0x6E3E);
+        let mut seen_k = [false; 97];
+        let mut case = 0;
+        for rows in 1..=19 {
+            for _ in 0..12 {
+                // Strides coprime to 97 and 23 sweep every k in 1..=97 and
+                // every n in 1..=23 (odd and even, whole and partial
+                // column blocks) across the cases.
+                let k = 1 + (case * 31) % 97;
+                let n = 1 + (case * 5) % 23;
+                seen_k[k - 1] = true;
+                case += 1;
+                let seed = rng.next_below(1 << 20) as u64;
+                let mut x = Matrix::random(rows, k, seed, 1.0);
+                // All-zero rows make every product ±0.0, so the start
+                // value's sign can show in the output.
+                x.row_mut(rng.next_below(rows)).fill(0.0);
+                let w = Matrix::random(n, k, seed + 1, 1.0);
+                for start in [0.0f32, -0.0] {
+                    let fast = x.matmul_transposed(&w, start);
+                    let slow = naive_transposed(&x, &w, start);
+                    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(fast.as_slice()),
+                        bits(&slow),
+                        "rows {rows}, n {n}, k {k}, start {start:?}"
+                    );
+                }
+            }
+        }
+        assert!(seen_k.iter().all(|&s| s), "every k in 1..=97 covered");
+    }
+
+    #[test]
+    fn zero_rows_keep_the_start_sign() {
+        // An all-zero row against non-negative weights sums only +0.0
+        // products: `-0.0 + 0.0` is `+0.0`, so both starts give +0.0;
+        // against negative weights every product is -0.0 and the start
+        // sign survives.
+        let x = Matrix::zeros(1, 3);
+        let w = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, -1.0, -2.0, -3.0]);
+        for start in [0.0f32, -0.0] {
+            let out = x.matmul_transposed(&w, start);
+            assert_eq!(out.get(0, 0).to_bits(), 0.0f32.to_bits());
+            assert_eq!(out.get(0, 1).to_bits(), start.to_bits());
+        }
+    }
+
+    #[test]
+    fn empty_reduction_yields_the_start_value() {
+        let out = Matrix::zeros(2, 0).matmul_transposed(&Matrix::zeros(3, 0), -0.0);
+        assert!(out
+            .as_slice()
+            .iter()
+            .all(|v| v.to_bits() == (-0.0f32).to_bits()));
     }
 
     #[test]
@@ -388,14 +491,5 @@ mod tests {
         // Second call overwrites rather than accumulates.
         matmul_into(&a, &b, &mut out);
         assert!(out.max_abs_diff(&a.matmul(&b)) < 1e-5);
-    }
-
-    #[test]
-    fn axpy_and_dot() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [10.0, 20.0, 30.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0, 36.0]);
-        assert_eq!(dot(&x, &x), 14.0);
     }
 }

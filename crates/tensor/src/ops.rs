@@ -114,18 +114,31 @@ pub fn layernorm(x: &[f32], weight: &[f32], bias: &[f32], eps: f32, out: &mut [f
     }
 }
 
-/// Apply rotary position embeddings in-place to a head vector laid out as
-/// interleaved pairs `(x0, x1), (x2, x3), ...`, at position `pos`.
-pub fn rope_inplace(head: &mut [f32], pos: usize, theta_base: f32) {
-    let half = head.len() / 2;
-    for i in 0..half {
-        let freq = 1.0 / theta_base.powf(2.0 * i as f32 / head.len() as f32);
-        let angle = pos as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = head[2 * i];
-        let b = head[2 * i + 1];
-        head[2 * i] = a * cos - b * sin;
-        head[2 * i + 1] = a * sin + b * cos;
+/// Rotation angles of rotary position embeddings (RoPE) at position
+/// `pos`, as `(sin, cos)` per interleaved pair of a `head_dim`-wide head.
+/// Every head of a row shares them, so a row computes them once.
+pub fn rope_angles(pos: usize, head_dim: usize, theta_base: f32) -> Vec<(f32, f32)> {
+    (0..head_dim / 2)
+        .map(|i| {
+            let freq = 1.0 / theta_base.powf(2.0 * i as f32 / head_dim as f32);
+            (pos as f32 * freq).sin_cos()
+        })
+        .collect()
+}
+
+/// Apply RoPE in place to every head of `heads`, consecutive head vectors
+/// laid out as interleaved pairs `(x0, x1), (x2, x3), ...`, with the
+/// angles from [`rope_angles`] (whose length is half a head).
+pub fn rope_heads_inplace(heads: &mut [f32], angles: &[(f32, f32)]) {
+    if angles.is_empty() {
+        return;
+    }
+    for head in heads.chunks_exact_mut(2 * angles.len()) {
+        for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(angles) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = a * cos - b * sin;
+            pair[1] = a * sin + b * cos;
+        }
     }
 }
 
@@ -261,13 +274,17 @@ mod tests {
         assert_close(var, 1.0, 1e-3);
     }
 
+    fn rope(head: &mut [f32], pos: usize) {
+        rope_heads_inplace(head, &rope_angles(pos, head.len(), 10_000.0));
+    }
+
     #[test]
     fn rope_preserves_norm_and_pos_zero_identity() {
         let mut h = vec![1.0, 2.0, 3.0, 4.0];
         let orig = h.clone();
-        rope_inplace(&mut h, 0, 10_000.0);
+        rope(&mut h, 0);
         assert_eq!(h, orig);
-        rope_inplace(&mut h, 17, 10_000.0);
+        rope(&mut h, 17);
         let n0: f32 = orig.iter().map(|v| v * v).sum();
         let n1: f32 = h.iter().map(|v| v * v).sum();
         assert_close(n0, n1, 1e-4);
@@ -279,12 +296,24 @@ mod tests {
         // Rotating by pos a then b equals rotating by a+b.
         let mut h1 = vec![0.5, -1.5, 2.0, 0.25];
         let mut h2 = h1.clone();
-        rope_inplace(&mut h1, 3, 10_000.0);
-        rope_inplace(&mut h1, 4, 10_000.0);
-        rope_inplace(&mut h2, 7, 10_000.0);
+        rope(&mut h1, 3);
+        rope(&mut h1, 4);
+        rope(&mut h2, 7);
         for (a, b) in h1.iter().zip(&h2) {
             assert_close(*a, *b, 1e-5);
         }
+    }
+
+    #[test]
+    fn rope_rotates_each_head_alike() {
+        let head = [0.5, -1.5, 2.0, 0.25];
+        let angles = rope_angles(5, 4, 10_000.0);
+        let mut two = [head, head].concat();
+        rope_heads_inplace(&mut two, &angles);
+        assert_eq!(two[..4], two[4..]);
+        let mut one = head.to_vec();
+        rope(&mut one, 5);
+        assert_eq!(one, two[..4]);
     }
 
     #[test]

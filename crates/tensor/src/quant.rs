@@ -536,7 +536,10 @@ mod tests {
     fn quantized_gemv_close_to_f32() {
         let m = Matrix::random(24, 48, 46, 0.5);
         let x: Vec<f32> = (0..48).map(|i| (i as f32 * 0.1).sin()).collect();
-        let exact = crate::matrix::gemv(&m, &x);
+        let exact = Matrix::from_vec(1, 48, x.clone())
+            .matmul_transposed(&m, 0.0)
+            .as_slice()
+            .to_vec();
         for p in [
             Precision::F16,
             Precision::Fp8E4M3,

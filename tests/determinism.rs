@@ -579,3 +579,105 @@ fn golden_controlled_day_matches_the_pinned_hash() {
         "the controlled day's report or decision log changed"
     );
 }
+
+/// FNV-1a of every logit's bit pattern over a fixed engine workload: per
+/// model, a 19-row prefill, 20 single-row greedy decode steps, then two
+/// more prompts (5 and 11 tokens) and 6 batched `forward_multi` decode
+/// steps across the three sequences. The models
+/// cover fused and unfused MoE dispatch, Int8 fake-quantized weights,
+/// and a config with a dense first layer plus a shared expert.
+fn golden_logits_hash() -> u64 {
+    use moe_engine::{KvStore, ModelWeights, MoeTransformer};
+    use moe_model::registry::tiny_test_model;
+    use moe_tensor::{ops::argmax, Matrix, Precision};
+
+    fn feed(bytes: &mut Vec<u8>, logits: &Matrix) {
+        bytes.extend(
+            logits
+                .as_slice()
+                .iter()
+                .flat_map(|v| v.to_bits().to_le_bytes()),
+        );
+    }
+    fn last_argmax(logits: &Matrix) -> usize {
+        argmax(logits.row(logits.rows() - 1))
+    }
+    fn prompt(len: usize, salt: usize) -> Vec<usize> {
+        (0..len).map(|i| (i * 37 + salt * 101 + 5) % 256).collect()
+    }
+
+    let plain = tiny_test_model(8, 2);
+    let mut mixed = tiny_test_model(8, 2);
+    mixed.first_k_dense_layers = 1;
+    mixed.dense_ffn_dim = 128;
+    if let Some(moe) = mixed.moe.as_mut() {
+        moe.num_shared_experts = 1;
+        moe.shared_expert_ffn_dim = 48;
+    }
+    let int8 = {
+        let mut w = ModelWeights::init(&plain, 23);
+        w.quantize(Precision::Int8);
+        MoeTransformer::with_weights(plain.clone(), w)
+    };
+    let models = [
+        (MoeTransformer::new(plain.clone(), 23), true),
+        (MoeTransformer::new(plain.clone(), 23), false),
+        (int8, true),
+        (MoeTransformer::new(mixed.clone(), 29), true),
+        (MoeTransformer::new(mixed, 29), false),
+    ];
+
+    let mut bytes = Vec::new();
+    for (salt, (mut model, fused)) in models.into_iter().enumerate() {
+        model.set_fused_moe(fused);
+        let first = prompt(19, salt);
+        let mut kv = model.new_kv();
+        let positions: Vec<usize> = (0..first.len()).collect();
+        let logits = model.forward(&first, &positions, &mut kv);
+        feed(&mut bytes, &logits);
+        let mut next = last_argmax(&logits);
+        for pos in first.len()..first.len() + 20 {
+            let logits = model.forward(&[next], &[pos], &mut kv);
+            feed(&mut bytes, &logits);
+            next = last_argmax(&logits);
+        }
+
+        let mut kvs = vec![kv];
+        let mut tokens = vec![next];
+        let mut positions = vec![first.len() + 20];
+        for len in [5, 11] {
+            let p = prompt(len, salt + 7);
+            let mut kv = model.new_kv();
+            let logits = model.forward(&p, &(0..len).collect::<Vec<_>>(), &mut kv);
+            feed(&mut bytes, &logits);
+            kvs.push(kv);
+            tokens.push(last_argmax(&logits));
+            positions.push(len);
+        }
+        for _ in 0..6 {
+            let mut refs: Vec<&mut dyn KvStore> =
+                kvs.iter_mut().map(|kv| kv as &mut dyn KvStore).collect();
+            let logits = model.forward_multi(&tokens, &positions, &mut refs);
+            feed(&mut bytes, &logits);
+            for (r, (t, p)) in tokens.iter_mut().zip(&mut positions).enumerate() {
+                *t = argmax(logits.row(r));
+                *p += 1;
+            }
+        }
+    }
+    fnv1a(&bytes)
+}
+
+/// Cross-commit golden pin for the engine's arithmetic. The kernels are
+/// free to change how they schedule work, but every output element must
+/// keep its start value and its ascending-k accumulation order, so the
+/// logits stay bit-identical. This hash was computed before the engine
+/// moved to the batched output-vectorized kernel.
+#[test]
+fn golden_logits_match_the_pinned_hash() {
+    assert_eq!(
+        golden_logits_hash(),
+        0x378e_d631_297e_de32,
+        "engine logits changed bit pattern"
+    );
+}
