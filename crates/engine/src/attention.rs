@@ -18,7 +18,7 @@ use crate::weights::LayerWeights;
 
 /// Cached keys scored together: their dot products are independent
 /// accumulators, so one pass over the head dimension serves them all.
-const KEY_BLOCK: usize = 32;
+const KEY_BLOCK: usize = 4;
 
 /// Static attention geometry, derived from the model config.
 #[derive(Debug, Clone, Copy)]
@@ -63,85 +63,55 @@ fn project(
     let v = x.matmul_transposed(&w.wv, -0.0);
     for (r, &pos) in positions.iter().enumerate() {
         let angles = rope_angles(pos, params.head_dim, params.rope_theta);
-        rope_heads_inplace(q.row_mut(r), &angles);
-        rope_heads_inplace(k.row_mut(r), &angles);
+        rope_heads_inplace(q.row_mut(r), params.head_dim, &angles);
+        rope_heads_inplace(k.row_mut(r), params.head_dim, &angles);
     }
     Projected { q, k, v }
 }
 
-/// One layer's cached keys and values for positions `0..len`, copied out
-/// of the store so the score and value loops read them contiguously.
-/// Keys are transposed (`k_t[c * stride + t]` is element `c` of key `t`;
-/// `stride` rounds `len` up to whole key blocks, and lanes past `len`
-/// hold stale values whose scores are never stored). Values stay
-/// row-major (`v[t * kv_dim + c]`). The buffers are reused across rows.
-#[derive(Default)]
-struct CachedKv {
-    len: usize,
-    stride: usize,
-    k_t: Vec<f32>,
-    v: Vec<f32>,
-}
-
-impl CachedKv {
-    fn read(&mut self, kv: &dyn KvStore, layer: usize, len: usize) {
-        let kv_dim = kv.kv_dim();
-        self.len = len;
-        self.stride = len.next_multiple_of(KEY_BLOCK);
-        self.k_t.resize(kv_dim * self.stride, 0.0);
-        self.v.clear();
-        for t in 0..len {
-            for (c, &k) in kv.key(layer, t).iter().enumerate() {
-                self.k_t[c * self.stride + t] = k;
-            }
-            self.v.extend_from_slice(kv.value(layer, t));
-        }
-    }
-}
-
 /// Attend one row's queries `q` (`q_dim` wide) causally over the first
-/// `ctx` cached positions, accumulating each head's context into the
-/// zeroed `out` (`q_dim` wide). `scores` is scratch.
+/// `ctx` cached positions of `layer`, accumulating each head's context
+/// into the zeroed `out` (`q_dim` wide). `scores` is scratch.
 fn attend(
     params: &AttentionParams,
     q: &[f32],
-    cache: &CachedKv,
+    kv: &dyn KvStore,
+    layer: usize,
     ctx: usize,
     scores: &mut Vec<f32>,
     out: &mut [f32],
 ) {
-    debug_assert!(ctx <= cache.len);
     let hd = params.head_dim;
     let scale = 1.0 / (hd as f32).sqrt();
     let group = params.group_size();
-    let stride = cache.stride;
 
     // scores[head * ctx + t]: each head's query against cached key t,
-    // summed over the head dimension in order, a key block at a time.
+    // summed over the head dimension in order, a key block at a time. A
+    // short last block repeats its final key; the repeats are not stored.
     scores.clear();
     scores.resize(params.num_heads * ctx, 0.0);
-    for (head, head_scores) in scores.chunks_exact_mut(ctx).enumerate() {
-        let q_h = &q[head * hd..][..hd];
-        let k_t = &cache.k_t[(head / group) * hd * stride..][..hd * stride];
-        for (t0, block) in (0..)
-            .step_by(KEY_BLOCK)
-            .zip(head_scores.chunks_mut(KEY_BLOCK))
-        {
+    for t0 in (0..ctx).step_by(KEY_BLOCK) {
+        let n = KEY_BLOCK.min(ctx - t0);
+        let keys: [&[f32]; KEY_BLOCK] = std::array::from_fn(|j| kv.key(layer, t0 + j.min(n - 1)));
+        for (head, q_h) in q.chunks_exact(hd).enumerate() {
+            let k_h = keys.map(|k| &k[(head / group) * hd..][..hd]);
             let mut acc = [-0.0f32; KEY_BLOCK];
-            for (&qv, k_d) in q_h.iter().zip(k_t.chunks_exact(stride)) {
-                for (a, &k) in acc.iter_mut().zip(&k_d[t0..t0 + KEY_BLOCK]) {
-                    *a += qv * k;
+            for (d, &qv) in q_h.iter().enumerate() {
+                for (a, k) in acc.iter_mut().zip(&k_h) {
+                    *a += qv * k[d];
                 }
             }
-            for (s, a) in block.iter_mut().zip(acc) {
+            for (s, a) in scores[head * ctx + t0..][..n].iter_mut().zip(acc) {
                 *s = a * scale;
             }
         }
+    }
+    for head_scores in scores.chunks_exact_mut(ctx) {
         softmax_inplace(head_scores);
     }
 
-    let kv_dim = params.kv_dim();
-    for (t, v_t) in cache.v.chunks_exact(kv_dim).take(ctx).enumerate() {
+    for t in 0..ctx {
+        let v_t = kv.value(layer, t);
         for (head, acc) in out.chunks_exact_mut(hd).enumerate() {
             let s = scores[head * ctx + t];
             let v_h = &v_t[(head / group) * hd..][..hd];
@@ -174,15 +144,14 @@ pub fn attention_forward(
     for (r, &pos) in positions.iter().enumerate() {
         kv.write(layer, pos, p.k.row(r), p.v.row(r));
     }
-    let mut cache = CachedKv::default();
-    cache.read(kv, layer, positions.iter().max().map_or(0, |&p| p + 1));
     let mut scores = Vec::new();
     let mut ctx = Matrix::zeros(x.rows(), params.q_dim());
     for (r, &pos) in positions.iter().enumerate() {
         attend(
             params,
             p.q.row(r),
-            &cache,
+            kv,
+            layer,
             pos + 1,
             &mut scores,
             ctx.row_mut(r),
@@ -205,17 +174,16 @@ pub fn attention_forward_multi(
     assert_eq!(x.rows(), positions.len(), "one position per row");
     assert_eq!(x.rows(), kvs.len(), "one KV cache per row");
     let p = project(params, w, x, positions);
-    let mut cache = CachedKv::default();
     let mut scores = Vec::new();
     let mut ctx = Matrix::zeros(x.rows(), params.q_dim());
     for (r, (&pos, kv)) in positions.iter().zip(kvs.iter_mut()).enumerate() {
         debug_assert_eq!(kv.kv_dim(), params.kv_dim(), "cache width mismatch");
         kv.write(layer, pos, p.k.row(r), p.v.row(r));
-        cache.read(*kv, layer, pos + 1);
         attend(
             params,
             p.q.row(r),
-            &cache,
+            *kv,
+            layer,
             pos + 1,
             &mut scores,
             ctx.row_mut(r),

@@ -14,13 +14,8 @@
 //!
 //! Routing follows the model's [`RouterKind`]: Mixtral-style
 //! top-k-then-softmax or DeepSeek-style softmax-then-top-k.
-//!
-//! Both paths fork across experts or tokens only when the layer's
-//! multiply-adds reach [`moe_par::FORK_MIN_WORK`]; below that a fork
-//! costs more than the arithmetic it spreads.
 
 use moe_model::{MoeConfig, RouterKind};
-use moe_par as par;
 use moe_tensor::ops::swiglu_inplace;
 use moe_tensor::topk::{softmax_then_top_k, top_k_softmax, TopK};
 use moe_tensor::Matrix;
@@ -66,21 +61,6 @@ pub fn expert_forward(e: &ExpertWeights, x: &Matrix, start: f32) -> Matrix {
     gate.matmul_transposed(&e.down, start)
 }
 
-/// Multiply-adds of `rows` token-expert pairs through `e`'s FFN.
-fn expert_work(e: &ExpertWeights, rows: usize) -> usize {
-    rows * 3 * e.gate.len()
-}
-
-/// `(0..n).map(body)`, forked across `moe-par` workers only when `work`
-/// multiply-adds repay the fork.
-fn map_maybe_par<R: Send>(n: usize, work: usize, body: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    if work < par::FORK_MIN_WORK {
-        (0..n).map(body).collect()
-    } else {
-        par::map_collect(n, body)
-    }
-}
-
 /// Unfused dispatch: per-token, per-expert GEMVs.
 pub fn moe_forward_unfused(
     w: &LayerWeights,
@@ -92,30 +72,16 @@ pub fn moe_forward_unfused(
 ) -> Matrix {
     let routing = route(w, moe, x);
     record(stats, trace, layer, &routing);
-    let work = routing
-        .iter()
-        .flat_map(|r| &r.experts.indices)
-        .map(|&e| expert_work(&w.experts[e], 1))
-        .sum();
-    let rows: Vec<Vec<f32>> = map_maybe_par(x.rows(), work, |r| {
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    for (r, routed) in routing.iter().enumerate() {
         let x_row = x.gather_rows(&[r]);
-        let mut acc = vec![0.0f32; x.cols()];
-        for (&e, &weight) in routing[r]
-            .experts
-            .indices
-            .iter()
-            .zip(&routing[r].experts.values)
-        {
+        let acc = out.row_mut(r);
+        for (&e, &weight) in routed.experts.indices.iter().zip(&routed.experts.values) {
             let y = expert_forward(&w.experts[e], &x_row, -0.0);
             for (a, v) in acc.iter_mut().zip(y.as_slice()) {
                 *a += weight * v;
             }
         }
-        acc
-    });
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for (r, row) in rows.into_iter().enumerate() {
-        out.row_mut(r).copy_from_slice(&row);
     }
     add_shared_experts(w, x, &mut out);
     out
@@ -142,30 +108,16 @@ pub fn moe_forward_fused(
         }
     }
 
-    // Each active expert processes its group as one batch (across
-    // experts in parallel when the work repays it — the grouped-GEMM
-    // analogue).
-    let work = groups
-        .iter()
-        .zip(&w.experts)
-        .map(|(g, e)| expert_work(e, g.len()))
-        .sum();
-    let results: Vec<(usize, Matrix)> = map_maybe_par(groups.len(), work, |e| {
-        let g = &groups[e];
+    // Each active expert processes its group as one batch (the
+    // grouped-GEMM analogue), then scatter-adds it back.
+    let mut out = Matrix::zeros(x.rows(), x.cols());
+    for (g, e) in groups.iter().zip(&w.experts) {
         if g.is_empty() {
-            return None;
+            continue;
         }
         let idx: Vec<usize> = g.iter().map(|(r, _)| *r).collect();
-        let gathered = x.gather_rows(&idx);
-        Some((e, expert_forward(&w.experts[e], &gathered, 0.0)))
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-
-    let mut out = Matrix::zeros(x.rows(), x.cols());
-    for (e, y) in results {
-        for (slot, &(r, weight)) in groups[e].iter().enumerate() {
+        let y = expert_forward(e, &x.gather_rows(&idx), 0.0);
+        for (slot, &(r, weight)) in g.iter().enumerate() {
             out.scatter_add_row(r, y.row(slot), weight);
         }
     }

@@ -58,13 +58,5 @@ mod seed;
 mod workers;
 
 pub use executor::{for_each_chunk_mut, map_collect, map_collect_seeded};
-
-/// Work, in multiply-adds, below which a caller should run a parallel
-/// region inline. Every [`map_collect`] or [`for_each_chunk_mut`] call
-/// spawns and joins scoped OS threads, which costs tens of microseconds:
-/// about as long as a few hundred thousand multiply-adds of a vectorized
-/// kernel on one core. The threshold sits about ten times above that,
-/// so a fork costs at most a small fraction of the work it spreads.
-pub const FORK_MIN_WORK: usize = 1 << 22;
 pub use seed::derive_seed;
 pub use workers::{set_workers_for_test, workers};

@@ -126,14 +126,13 @@ pub fn rope_angles(pos: usize, head_dim: usize, theta_base: f32) -> Vec<(f32, f3
         .collect()
 }
 
-/// Apply RoPE in place to every head of `heads`, consecutive head vectors
+/// Apply RoPE in place to every `head_dim`-wide head of `heads`, each
 /// laid out as interleaved pairs `(x0, x1), (x2, x3), ...`, with the
-/// angles from [`rope_angles`] (whose length is half a head).
-pub fn rope_heads_inplace(heads: &mut [f32], angles: &[(f32, f32)]) {
-    if angles.is_empty() {
-        return;
-    }
-    for head in heads.chunks_exact_mut(2 * angles.len()) {
+/// angles from [`rope_angles`] for the same `head_dim`. An odd head's
+/// last element has no pair and stays as it is.
+pub fn rope_heads_inplace(heads: &mut [f32], head_dim: usize, angles: &[(f32, f32)]) {
+    debug_assert_eq!(angles.len(), head_dim / 2, "angles for another head width");
+    for head in heads.chunks_exact_mut(head_dim) {
         for (pair, &(sin, cos)) in head.chunks_exact_mut(2).zip(angles) {
             let (a, b) = (pair[0], pair[1]);
             pair[0] = a * cos - b * sin;
@@ -275,7 +274,8 @@ mod tests {
     }
 
     fn rope(head: &mut [f32], pos: usize) {
-        rope_heads_inplace(head, &rope_angles(pos, head.len(), 10_000.0));
+        let angles = rope_angles(pos, head.len(), 10_000.0);
+        rope_heads_inplace(head, head.len(), &angles);
     }
 
     #[test]
@@ -309,11 +309,26 @@ mod tests {
         let head = [0.5, -1.5, 2.0, 0.25];
         let angles = rope_angles(5, 4, 10_000.0);
         let mut two = [head, head].concat();
-        rope_heads_inplace(&mut two, &angles);
+        rope_heads_inplace(&mut two, 4, &angles);
         assert_eq!(two[..4], two[4..]);
         let mut one = head.to_vec();
         rope(&mut one, 5);
         assert_eq!(one, two[..4]);
+    }
+
+    #[test]
+    fn rope_keeps_odd_heads_apart() {
+        // Each 5-wide head rotates its two pairs and keeps its last
+        // element; no pair straddles a head boundary.
+        let head = [0.5, -1.5, 2.0, 0.25, 3.0];
+        let angles = rope_angles(5, 5, 10_000.0);
+        let mut two = [head, head].concat();
+        rope_heads_inplace(&mut two, 5, &angles);
+        assert_eq!(two[..5], two[5..]);
+        assert_eq!(two[4], head[4]);
+        let mut one = head.to_vec();
+        rope(&mut one, 5);
+        assert_eq!(one, two[..5]);
     }
 
     #[test]
